@@ -6,6 +6,10 @@
 # by more than 25%. The gate is direction-aware:
 #   - p50/p95 latency metrics: BIGGER is worse. These are virtual-time
 #     deterministic, so a diff is a real behaviour change, never noise.
+#   - cost-shaped metrics (*dollars_per_query, *cost_per_query,
+#     *_daily_cost, *send_wire_bytes, *storage_loads, *comm_per_round):
+#     BIGGER is worse. Also virtual and exact, so they catch a framing or
+#     billing change that moves bytes or dollars without moving latency.
 #   - *_per_sec throughput metrics (events_per_sec, bytes_per_sec, ...):
 #     SMALLER is worse. These are wall-clock, so the threshold also absorbs
 #     machine noise; the bench binaries gate the structural claim (kernel
@@ -30,13 +34,16 @@ warn_only=0
 baseline_dir="fsd_bench_cache/bench_baselines"
 threshold_pct=25
 
-# "key value direction" lines for the gated metrics: latency-shaped keys
-# (p50/p95 — bigger is worse) and throughput keys ending in _per_sec
-# (smaller is worse). Other keys (speedups, counts) are informational only.
+# "key value direction" lines for the gated metrics: latency-shaped and
+# cost-shaped keys (bigger is worse) and throughput keys ending in _per_sec
+# (smaller is worse). Other keys (speedups, reductions, counts) are
+# informational only.
+cost_keys='(dollars_per_query|cost_per_query|_daily_cost|send_wire_bytes|storage_loads|comm_per_round)$'
 metrics() {
-  sed -n 's/^ *"\([A-Za-z0-9_.]*\)": *\(-*[0-9][-0-9.eE+]*\),*$/\1 \2/p' \
-    "$1" | awk '$1 ~ /p50|p95/ { print $0, "bigger-is-worse"; next }
-                $1 ~ /_per_sec$/ { print $0, "smaller-is-worse" }' \
+  sed -n 's/^ *"\([-A-Za-z0-9_.]*\)": *\(-*[0-9][-0-9.eE+]*\),*$/\1 \2/p' \
+    "$1" | awk -v cost="$cost_keys" '
+      $1 ~ /p50|p95/ || $1 ~ cost { print $0, "bigger-is-worse"; next }
+      $1 ~ /_per_sec$/ { print $0, "smaller-is-worse" }' \
     || true
 }
 

@@ -1,8 +1,11 @@
 // CommChannel: the fully serverless point-to-point communication abstraction
-// (paper §III-A/B). Two production implementations exist — QueueChannel
-// (FSD-Inf-Queue: pub-sub + per-worker queues) and ObjectChannel
-// (FSD-Inf-Object: sharded object storage) — plus the degenerate serial case
-// which performs no communication.
+// (paper §III-A/B). Four backends implement it — QueueChannel (FSD-Inf-Queue:
+// pub-sub + per-worker queues), ObjectChannel (FSD-Inf-Object: sharded object
+// storage), KvChannel (FSD-Inf-KV: in-memory KV inbox lists) and
+// DirectChannel (FSD-Inf-Direct: NAT-punched links with a KV relay) — plus
+// the degenerate serial case, which performs no communication. All four
+// share one framing layer (EncodeFrames, ParseFrameHeader, FrameTracker,
+// DecodeUnderCharge below) and differ only in their transport.
 //
 // The channel moves *phases* of activation rows. Phases 0..L-1 carry the
 // x^{k-1} exchanges feeding each layer k; collective operations (barrier,
@@ -15,7 +18,9 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cloud/cloud.h"
@@ -85,85 +90,108 @@ Status ProvisionChannelResources(cloud::CloudEnv* cloud,
                                  const FsdOptions& options);
 
 /// Releases per-run channel resources. Queue/object resources are
-/// request-priced and free to keep, so this is a no-op for them; the KV
-/// namespace is deleted, which bills its node time.
+/// request-priced and free to keep, so this is a no-op for them. The KV
+/// namespace is deleted, which bills its node time; the direct channel
+/// deletes its punch-brokering session (links close free) and its KV
+/// relay namespace, billing the relay's node time if any pair relayed.
 Status TeardownChannelResources(cloud::CloudEnv* cloud,
                                 const FsdOptions& options);
 
-/// ---- shared send-side accounting (one definition across backends) ----
-/// Every backend meters the same quantities on its send path: per-chunk
-/// raw/wire bytes, serialization CPU split over the IPC lanes,
-/// least-loaded-lane dispatch offsets for the async API calls, the
-/// per-call dispatch overhead, and the service-billed bytes (including
-/// billing-increment rounding). These helpers are that arithmetic,
-/// verbatim — the ledger and the cost model's billed-byte counters must
-/// stay byte-identical whichever backend runs them.
-
-/// Accounts one encoded chunk on the send side (send_chunks, raw and wire
-/// bytes); returns the chunk's raw bytes for the caller's
-/// serialization-CPU accumulator.
-inline uint64_t AccountSendChunk(LayerMetrics* metrics,
-                                 const RowChunk& chunk) {
-  metrics->send_chunks += 1;
-  metrics->send_raw_bytes += static_cast<int64_t>(chunk.raw_bytes);
-  metrics->send_wire_bytes += static_cast<int64_t>(chunk.wire.size());
-  if (chunk.quant_bits != 0) {
-    metrics->quant_chunks += 1;
-    metrics->quant_values += chunk.quant_values;
-    if (chunk.quant_err_max > metrics->quant_err_max) {
-      metrics->quant_err_max = chunk.quant_err_max;
-    }
-  }
-  return chunk.raw_bytes;
-}
-
-/// Billed increments for one request moving `bytes` bytes under a
-/// `increment_bytes` billing granularity (>= 1 increment per request —
-/// the pub-sub 64 KiB publish-chunk rule).
-inline int64_t BilledIncrementChunks(uint64_t bytes,
-                                     uint64_t increment_bytes) {
-  const uint64_t chunks = (bytes + increment_bytes - 1) / increment_bytes;
-  return static_cast<int64_t>(chunks > 0 ? chunks : 1);
-}
-
-/// Charges the serialization/compression CPU for `serialize_bytes` of
-/// payload split over `items` parallel work items on the worker's IPC
-/// lanes (the makespan lands in metrics->serialize_s and virtual time).
-Status ChargeSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                          uint64_t serialize_bytes, size_t items);
-
-/// ChargeSerializeCpu with the real encode work offloaded under the
-/// charged window (FaasContext::OffloadFor): `encode` runs on a compute
-/// pool thread when the sim has compute_threads > 0, inline at the
-/// window's end otherwise — byte-identical virtual behaviour either way.
-/// Callers pass the serialize_bytes/items a PlanRows pre-pass computed and
-/// move ALL post-encode work (chunk accounting, message building,
-/// dispatch) after this call returns. A null `encode` degrades to
-/// ChargeSerializeCpu exactly.
-Status OffloadSerializeCpu(WorkerEnv* env, LayerMetrics* metrics,
-                           uint64_t serialize_bytes, size_t items,
-                           std::function<void()> encode);
-
-/// Least-loaded-lane scheduler for asynchronous channel dispatch: each
-/// call returns the virtual-time offset at which the next API call may
-/// start on the least-loaded IPC lane, advancing that lane by the op's
-/// median latency (the estimate; the true latency is sampled at dispatch).
+/// Asynchronous API dispatch on the worker's IPC lanes. Each call starts
+/// when the least-loaded lane frees up, advancing that lane by the op's
+/// median latency (the estimate; the true latency is sampled when the
+/// call runs). The worker itself pays only a small per-call overhead to
+/// hand the calls to its pool; the round trips ride the lanes.
 class DispatchLanes {
  public:
-  DispatchLanes(int32_t lanes, double op_estimate_s)
-      : lane_free_(static_cast<size_t>(lanes > 1 ? lanes : 1), 0.0),
-        estimate_(op_estimate_s) {}
-  double NextOffset();
+  DispatchLanes(WorkerEnv* env, double op_estimate_s);
+  /// Schedules one API call on the least-loaded lane.
+  void Dispatch(std::function<void()> call);
+  /// Charges the worker the hand-off overhead of every dispatched call.
+  Status ChargeOverhead() const;
 
  private:
+  WorkerEnv* env_;
   std::vector<double> lane_free_;
   double estimate_;
+  size_t calls_ = 0;
 };
 
-/// The small per-call overhead the worker itself pays to hand `calls`
-/// asynchronous API calls to its IPC pool (the round trips ride the
-/// lanes, not the worker).
-Status ChargeDispatchOverhead(WorkerEnv* env, size_t calls);
+/// ---- the shared framing layer ----
+/// The paper's row exchange is one pipeline with interchangeable
+/// transports (§III-A/B); these helpers are that pipeline. A backend
+/// supplies only its transport — naming, provisioning, dispatch,
+/// pop/poll/list/GET — and the metering specific to its service.
+
+/// One chunk of a (source -> target) phase send. The send side fills it
+/// from the encode; the receive side rebuilds the header from the
+/// transport's envelope (queue attributes, the inbox varint header, an
+/// object key) through ParseFrameHeader.
+struct Frame {
+  int32_t source = 0;
+  int32_t target = 0;
+  int32_t seq = 0;    ///< chunk index within the send
+  int32_t total = 1;  ///< chunks in the send (>= 1)
+  Bytes body;         ///< encoded rows (RowChunk::wire)
+};
+
+/// Runs the send pipeline for one phase: meters send_targets and
+/// send_rows_mapped/active, charges the serialization CPU a PlanRows
+/// pre-pass prices, runs EncodeRows under that charged window
+/// (FaasContext::OffloadFor), then accounts every chunk. Returns one frame
+/// per chunk, in send order. With `skip_empty`, a send with no active rows
+/// is not encoded: it yields one frame with an empty body (the object
+/// channel's ".nul" marker), which counts as an encode item but adds no
+/// serialize bytes.
+Result<std::vector<Frame>> EncodeFrames(WorkerEnv* env, LayerMetrics* metrics,
+                                        const linalg::ActivationMap& source,
+                                        const std::vector<SendSpec>& sends,
+                                        uint64_t max_chunk_bytes,
+                                        bool skip_empty);
+
+/// The one check every receiver runs on a frame header, whatever envelope
+/// carried it. Fails with InvalidArgument unless each field fits in
+/// int32, total >= 1, seq is in [0, total) and source is in
+/// [0, num_workers) — a header no sender of this run can produce would
+/// otherwise stall its receiver until the deadline or credit the wrong
+/// worker.
+Result<Frame> ParseFrameHeader(uint64_t source, uint64_t seq, uint64_t total,
+                               int32_t num_workers);
+
+/// Per-source completion for one phase receive: a source is done once it
+/// delivered as many frames as its headers announce. Frames from sources
+/// that are not (or no longer) pending count in redundant_skipped;
+/// accepted frames count their body in recv_wire_bytes.
+class FrameTracker {
+ public:
+  FrameTracker(const std::vector<int32_t>& sources, LayerMetrics* metrics);
+
+  bool done() const { return pending_.empty(); }
+  bool pending(int32_t source) const { return pending_.contains(source); }
+
+  /// Returns whether `frame` was accepted (its source was pending).
+  bool Accept(const Frame& frame);
+
+ private:
+  struct Progress {
+    int32_t expected = -1;  ///< unknown until the source's first frame
+    int32_t got = 0;
+  };
+  std::map<int32_t, Progress> pending_;
+  LayerMetrics* metrics_;
+};
+
+/// Decodes received frame bodies into `received` under one charged
+/// window: `deserialize_bytes` at the deserialization rate (metered in
+/// deserialize_s) plus `extra_window_s` (the object channel's GET
+/// makespan). A non-empty batch counts one offload call over the whole
+/// window and recv_rows for the rows it adds. An empty batch still waits
+/// its window — zero-length or not, that wait schedules a wake, so it is
+/// an event.
+Status DecodeUnderCharge(WorkerEnv* env, LayerMetrics* metrics,
+                         uint64_t deserialize_bytes, double extra_window_s,
+                         std::span<const Bytes> bodies,
+                         linalg::ActivationMap* received);
 
 /// ---- phase-id layout shared by workers and collectives ----
 /// A batch's phase budget is `layers` layer-exchange phases followed by

@@ -350,7 +350,7 @@ QuantBreakEvenEstimate EstimateQuantBreakEven(
   est.byte_dollars_saved = est.bytes_saved * per_byte;
 
   // The quantize pass re-scans the raw payload on the send side, billed as
-  // FaaS MB-seconds (ChargeSerializeCpu's surcharge).
+  // FaaS MB-seconds (OffloadSerializeCpu's surcharge).
   const double cpu_s = raw_bytes_per_query / compute.quant_bytes_per_s;
   est.cpu_dollars_added = cpu_s * memory_mb * pricing.faas_per_mb_second;
   est.net_saving = est.byte_dollars_saved - est.cpu_dollars_added;

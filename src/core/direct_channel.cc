@@ -42,23 +42,14 @@ std::string DirectChannel::RelayNamespaceName(const FsdOptions& options) {
   return StrFormat("%srelay", options.channel_scope.c_str());
 }
 
-std::string DirectChannel::InboxKey(int32_t phase, int32_t target) {
-  return StrFormat("p%d/w%d", phase, target);
-}
-
 Status DirectChannel::Provision(cloud::CloudEnv* cloud,
                                 const FsdOptions& options) {
   const std::string session = SessionName(options);
   if (!cloud->p2p().SessionExists(session)) {
     FSD_RETURN_IF_ERROR(cloud->p2p().CreateSession(session));
   }
-  const std::string relay = RelayNamespaceName(options);
-  if (!cloud->kv().NamespaceExists(relay)) {
-    cloud::KvNamespaceOptions ns_options;
-    ns_options.num_shards = std::max<int32_t>(1, options.kv_shards);
-    FSD_RETURN_IF_ERROR(cloud->kv().CreateNamespace(relay, ns_options));
-  }
-  return Status::OK();
+  return KvChannel::CreateNamespace(cloud, RelayNamespaceName(options),
+                                    options);
 }
 
 Status DirectChannel::Teardown(cloud::CloudEnv* cloud,
@@ -67,9 +58,7 @@ Status DirectChannel::Teardown(cloud::CloudEnv* cloud,
   if (cloud->p2p().SessionExists(session)) {
     FSD_RETURN_IF_ERROR(cloud->p2p().DeleteSession(session));
   }
-  const std::string relay = RelayNamespaceName(options);
-  if (!cloud->kv().NamespaceExists(relay)) return Status::OK();
-  return cloud->kv().DeleteNamespace(relay);
+  return KvChannel::DeleteNamespace(cloud, RelayNamespaceName(options));
 }
 
 Status DirectChannel::SendPhase(WorkerEnv* env, int32_t phase,
@@ -78,103 +67,49 @@ Status DirectChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  const std::string session = SessionName(options);
+  const int32_t me = env->worker_id;
 
-  // 1) Plan: resolve punch state per target and replay the chunking
-  // arithmetic (the KV value cap: the relay must accept any chunk
-  // verbatim), so the CPU charge is computable before encoding. An empty
-  // send still produces one marker chunk so the receiver's per-source
-  // accounting completes without data.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  std::vector<bool> punched_send(sends.size());
-  for (size_t s = 0; s < sends.size(); ++s) {
-    metrics.send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
-    FSD_ASSIGN_OR_RETURN(
-        const bool punched,
-        EnsureLink(env, &metrics, SessionName(options), env->worker_id,
-                   sends[s].target));
-    punched_send[s] = punched;
-    const EncodePlan plan =
-        PlanRows(source, *sends[s].rows, options.kv_max_value_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
+  // Resolve punch state per target before the encode. Chunks use the KV
+  // value cap: the relay must accept any chunk verbatim.
+  std::map<int32_t, bool> punched;
+  for (const SendSpec& send : sends) {
+    FSD_ASSIGN_OR_RETURN(punched[send.target],
+                         EnsureLink(env, &metrics, session, me, send.target));
   }
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<Frame> frames,
+      EncodeFrames(env, &metrics, source, sends, options.kv_max_value_bytes,
+                   /*skip_empty=*/false));
 
-  // 2) Serialization/compression CPU (parallel over IPC lanes), with the
-  // encode itself run under the charged window; chunk accounting and
-  // dispatch follow the join.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.kv_max_value_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  struct Outgoing {
-    int32_t target = 0;
-    bool punched = false;
-    std::string key;
-    Bytes value;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
-  for (size_t s = 0; s < sends.size(); ++s) {
-    const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
-    for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
-      outgoing.push_back({sends[s].target, punched_send[s],
-                          InboxKey(phase, sends[s].target),
-                          EncodeInboxValue(env->worker_id, seq, total,
-                                           std::move(chunk.wire))});
-    }
-  }
-
-  // 3) Lane-scheduled dispatch. Punched values ship over the fabric
-  // (bytes billed at send); relayed values are KV pushes, metered exactly
-  // like FSD-Inf-KV traffic so the cost model's relay terms stay exact.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().p2p_send.median_s);
-  for (const Outgoing& out : outgoing) {
-    if (out.punched) {
+  // Lane-scheduled dispatch. Punched values ship over the fabric (bytes
+  // billed at send); relayed values are KV pushes, metered exactly like
+  // FSD-Inf-KV traffic so the cost model's relay terms stay exact.
+  DispatchLanes lanes(env, env->cloud->latency().p2p_send.median_s);
+  const std::string relay = RelayNamespaceName(options);
+  for (Frame& frame : frames) {
+    const int32_t target = frame.target;
+    std::string key = KvChannel::InboxKey(phase, target);
+    Bytes value = EncodeInboxValue(std::move(frame));
+    cloud::CloudEnv* cloud = env->cloud;
+    if (punched[target]) {
       ++metrics.direct_msgs;
-      metrics.direct_billed_bytes += static_cast<int64_t>(out.value.size());
+      metrics.direct_billed_bytes += static_cast<int64_t>(value.size());
+      lanes.Dispatch([cloud, session, me, target, key = std::move(key),
+                      value = std::move(value)]() mutable {
+        cloud->p2p().Send(session, me, target, key, std::move(value));
+      });
     } else {
       ++metrics.kv_pushes;
       ++metrics.relay_fallback_msgs;
-      metrics.send_billed_bytes += static_cast<int64_t>(out.value.size());
+      metrics.send_billed_bytes += static_cast<int64_t>(value.size());
+      lanes.Dispatch([cloud, relay, key = std::move(key),
+                      value = std::move(value)]() mutable {
+        cloud->kv().Push(relay, key, std::move(value));
+      });
     }
   }
-  const std::string session = SessionName(options);
-  const std::string relay = RelayNamespaceName(options);
-  const int32_t me = env->worker_id;
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    if (out.punched) {
-      env->cloud->sim()->ScheduleCallback(
-          offset, [cloud, session, me, target = out.target,
-                   key = std::move(out.key),
-                   value = std::move(out.value)]() mutable {
-            cloud->p2p().Send(session, me, target, key, std::move(value));
-          });
-    } else {
-      env->cloud->sim()->ScheduleCallback(
-          offset, [cloud, relay, key = std::move(out.key),
-                   value = std::move(out.value)]() mutable {
-            cloud->kv().Push(relay, key, std::move(value));
-          });
-    }
-  }
-  // The worker only pays the pipelined dispatch overhead; the op round
-  // trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  return lanes.ChargeOverhead();
 }
 
 Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
@@ -184,19 +119,10 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
   const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
-
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-    bool punched = false;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
-
+  FrameTracker tracker(sources, &metrics);
   const std::string session = SessionName(options);
   const std::string relay = RelayNamespaceName(options);
-  const std::string inbox = InboxKey(phase, env->worker_id);
+  const std::string inbox = KvChannel::InboxKey(phase, env->worker_id);
 
   // Punch outcomes are deterministic per ordered pair, so the receiver
   // knows up front which sources must relay (Connect is idempotent and
@@ -205,73 +131,42 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
   // fully-punched phases never touch the KV relay, and once every punched
   // source completed, the fabric pop (which nothing will ever feed again)
   // is skipped instead of burning its full wait before each relay pop.
-  int32_t punched_pending = 0;
-  int32_t relay_pending = 0;
+  std::map<int32_t, bool> punched;
   for (int32_t s : sources) {
-    FSD_ASSIGN_OR_RETURN(
-        const bool punched,
-        EnsureLink(env, &metrics, session, s, env->worker_id));
-    pending[s].punched = punched;
-    ++(punched ? punched_pending : relay_pending);
+    FSD_ASSIGN_OR_RETURN(punched[s],
+                         EnsureLink(env, &metrics, session, s, env->worker_id));
   }
-
-  // Header decode and per-source bookkeeping (the poll loop's control
-  // state) stay inline; the row decode for each pop batch is collected in
-  // `bodies` and runs under the batch's deserialization window.
-  std::vector<Bytes> bodies;
-  auto consume = [&](const Bytes& value, bool billed) -> Status {
-    if (billed) {
-      // Relay pops bill the full value, header included — the cache
-      // meters what it moved, not what the receiver could use.
-      metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
-    }
-    FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-    auto it = pending.find(decoded.source);
-    if (it == pending.end()) {
-      // Pops are destructive, so a duplicate can only mean a stray value
-      // from a mis-scoped sender; count it like the other channels do.
-      ++metrics.redundant_skipped;
-      return Status::OK();
-    }
-    it->second.expected = decoded.total;
-    ++it->second.got;
-    metrics.recv_wire_bytes += static_cast<int64_t>(decoded.body.size());
-    bodies.push_back(std::move(decoded.body));
-    if (it->second.got == it->second.expected) {
-      --(it->second.punched ? punched_pending : relay_pending);
-      pending.erase(it);
-    }
-    return Status::OK();
+  auto awaiting = [&](bool via_fabric) {
+    return std::any_of(sources.begin(), sources.end(), [&](int32_t s) {
+      return punched[s] == via_fabric && tracker.pending(s);
+    });
   };
 
-  auto decode_batch = [&](uint64_t popped_bytes) -> Status {
-    const double deser_s =
-        static_cast<double>(popped_bytes) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    Status decoded_rows;
-    std::function<void()> decode_fn;
-    if (!bodies.empty()) {
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += deser_s;
-      decode_fn = [&]() {
-        for (const Bytes& body : bodies) {
-          decoded_rows = DecodeRows(body, &received);
-          if (!decoded_rows.ok()) return;
-        }
-      };
+  // Header checks and per-source bookkeeping stay inline (they drive the
+  // poll loop); each pop's accepted bodies decode as one batch, charged on
+  // the full popped value bytes.
+  auto drain = [&](const std::vector<Bytes>& values, bool billed) -> Status {
+    uint64_t popped_bytes = 0;
+    std::vector<Bytes> bodies;
+    for (const Bytes& value : values) {
+      popped_bytes += value.size();
+      if (billed) {
+        // Relay pops bill the full value, header included — the cache
+        // meters what it moved, not what the receiver could use.
+        metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
+      }
+      FSD_ASSIGN_OR_RETURN(Frame frame,
+                           DecodeInboxValue(value, options.num_workers));
+      if (tracker.Accept(frame)) bodies.push_back(std::move(frame.body));
     }
-    const size_t before = received.size();
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(deser_s, std::move(decode_fn)));
-    FSD_RETURN_IF_ERROR(decoded_rows);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    bodies.clear();
-    return Status::OK();
+    return DecodeUnderCharge(env, &metrics, popped_bytes,
+                             /*extra_window_s=*/0.0, bodies, &received);
   };
 
-  while (!pending.empty()) {
+  while (!tracker.done()) {
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
-    if (punched_pending > 0) {
+    if (awaiting(/*via_fabric=*/true)) {
       FSD_ASSIGN_OR_RETURN(
           std::vector<Bytes> values,
           env->cloud->p2p().BlockingPopAll(session, inbox,
@@ -279,14 +174,9 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
                                            options.direct_poll_wait_s));
       ++metrics.direct_pops;
       if (values.empty()) ++metrics.direct_empty_pops;
-      uint64_t popped_bytes = 0;
-      for (const Bytes& value : values) {
-        popped_bytes += value.size();
-        FSD_RETURN_IF_ERROR(consume(value, /*billed=*/false));
-      }
-      FSD_RETURN_IF_ERROR(decode_batch(popped_bytes));
+      FSD_RETURN_IF_ERROR(drain(values, /*billed=*/false));
     }
-    if (pending.empty() || relay_pending == 0) continue;
+    if (!awaiting(/*via_fabric=*/false)) continue;
 
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_ASSIGN_OR_RETURN(
@@ -295,12 +185,7 @@ Result<linalg::ActivationMap> DirectChannel::ReceivePhase(
                                         options.kv_poll_wait_s));
     ++metrics.kv_pops;
     if (relayed.empty()) ++metrics.kv_empty_pops;
-    uint64_t popped_bytes = 0;
-    for (const Bytes& value : relayed) {
-      popped_bytes += value.size();
-      FSD_RETURN_IF_ERROR(consume(value, /*billed=*/true));
-    }
-    FSD_RETURN_IF_ERROR(decode_batch(popped_bytes));
+    FSD_RETURN_IF_ERROR(drain(relayed, /*billed=*/true));
   }
 
   metrics.recv_wait_s += env->cloud->sim()->Now() - start;

@@ -47,8 +47,6 @@ class DirectChannel : public CommChannel {
 
   static std::string SessionName(const FsdOptions& options);
   static std::string RelayNamespaceName(const FsdOptions& options);
-  /// Inbox key "p{phase}/w{target}" (same shape on fabric and relay).
-  static std::string InboxKey(int32_t phase, int32_t target);
 
   std::string_view name() const override { return "direct"; }
 

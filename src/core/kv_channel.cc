@@ -1,7 +1,6 @@
 #include "core/kv_channel.h"
 
 #include <algorithm>
-#include <map>
 
 #include "codec/varint.h"
 #include "common/strings.h"
@@ -9,28 +8,25 @@
 
 namespace fsd::core {
 
-Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
-                       Bytes wire) {
+Bytes EncodeInboxValue(Frame frame) {
   Bytes out;
-  out.reserve(wire.size() + 6);
-  codec::PutVarint64(&out, static_cast<uint64_t>(source));
-  codec::PutVarint64(&out, static_cast<uint64_t>(seq));
-  codec::PutVarint64(&out, static_cast<uint64_t>(total));
-  out.insert(out.end(), wire.begin(), wire.end());
+  out.reserve(frame.body.size() + 6);
+  codec::PutVarint64(&out, static_cast<uint64_t>(frame.source));
+  codec::PutVarint64(&out, static_cast<uint64_t>(frame.seq));
+  codec::PutVarint64(&out, static_cast<uint64_t>(frame.total));
+  out.insert(out.end(), frame.body.begin(), frame.body.end());
   return out;
 }
 
-Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value) {
+Result<Frame> DecodeInboxValue(const Bytes& value, int32_t num_workers) {
   ByteReader reader(value);
-  DecodedInboxValue decoded;
-  FSD_ASSIGN_OR_RETURN(uint64_t source, codec::GetVarint64(&reader));
-  FSD_ASSIGN_OR_RETURN(uint64_t seq, codec::GetVarint64(&reader));
-  FSD_ASSIGN_OR_RETURN(uint64_t total, codec::GetVarint64(&reader));
-  decoded.source = static_cast<int32_t>(source);
-  decoded.seq = static_cast<int32_t>(seq);
-  decoded.total = static_cast<int32_t>(total);
-  FSD_ASSIGN_OR_RETURN(decoded.body, reader.ReadBytes(reader.remaining()));
-  return decoded;
+  FSD_ASSIGN_OR_RETURN(const uint64_t source, codec::GetVarint64(&reader));
+  FSD_ASSIGN_OR_RETURN(const uint64_t seq, codec::GetVarint64(&reader));
+  FSD_ASSIGN_OR_RETURN(const uint64_t total, codec::GetVarint64(&reader));
+  FSD_ASSIGN_OR_RETURN(Frame frame,
+                       ParseFrameHeader(source, seq, total, num_workers));
+  FSD_ASSIGN_OR_RETURN(frame.body, reader.ReadBytes(reader.remaining()));
+  return frame;
 }
 
 std::string KvChannel::NamespaceName(const FsdOptions& options) {
@@ -41,9 +37,9 @@ std::string KvChannel::InboxKey(int32_t phase, int32_t target) {
   return StrFormat("p%d/w%d", phase, target);
 }
 
-Status KvChannel::Provision(cloud::CloudEnv* cloud,
-                            const FsdOptions& options) {
-  const std::string ns = NamespaceName(options);
+Status KvChannel::CreateNamespace(cloud::CloudEnv* cloud,
+                                  const std::string& ns,
+                                  const FsdOptions& options) {
   if (!cloud->kv().NamespaceExists(ns)) {
     cloud::KvNamespaceOptions ns_options;
     ns_options.num_shards = std::max<int32_t>(1, options.kv_shards);
@@ -52,10 +48,19 @@ Status KvChannel::Provision(cloud::CloudEnv* cloud,
   return Status::OK();
 }
 
-Status KvChannel::Teardown(cloud::CloudEnv* cloud, const FsdOptions& options) {
-  const std::string ns = NamespaceName(options);
+Status KvChannel::DeleteNamespace(cloud::CloudEnv* cloud,
+                                  const std::string& ns) {
   if (!cloud->kv().NamespaceExists(ns)) return Status::OK();
   return cloud->kv().DeleteNamespace(ns);
+}
+
+Status KvChannel::Provision(cloud::CloudEnv* cloud,
+                            const FsdOptions& options) {
+  return CreateNamespace(cloud, NamespaceName(options), options);
+}
+
+Status KvChannel::Teardown(cloud::CloudEnv* cloud, const FsdOptions& options) {
+  return DeleteNamespace(cloud, NamespaceName(options));
 }
 
 Status KvChannel::SendPhase(WorkerEnv* env, int32_t phase,
@@ -64,78 +69,29 @@ Status KvChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<Frame> frames,
+      EncodeFrames(env, &metrics, source, sends, options.kv_max_value_bytes,
+                   /*skip_empty=*/false));
 
-  // 1) Plan the encode (value-capped, NNZ heuristic): chunk counts and
-  // exact raw bytes are input-determined, so the CPU charge is computable
-  // before encoding. An empty send still produces one marker chunk so the
-  // receiver's per-source accounting completes without data.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  for (const SendSpec& send : sends) {
-    metrics.send_rows_mapped += static_cast<int64_t>(send.rows->size());
-    const EncodePlan plan =
-        PlanRows(source, *send.rows, options.kv_max_value_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
-  }
-
-  // 2) Charge the serialization/compression CPU (parallel over IPC lanes)
-  // and run the encode under the charged window; accounting and dispatch
-  // follow the join.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.kv_max_value_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  // 3) Build inbox values from the encoded chunks.
-  struct Outgoing {
-    std::string key;
-    Bytes value;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
-  for (size_t s = 0; s < sends.size(); ++s) {
-    const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
-    for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
-      outgoing.push_back(
-          {InboxKey(phase, sends[s].target),
-           EncodeInboxValue(env->worker_id, seq, total,
-                            std::move(chunk.wire))});
-    }
-  }
-
-  // 4) Lane-scheduled pushes: each lane issues its next push when the
-  // previous completes, using the median op latency as the lane estimate.
-  DispatchLanes lanes(options.io_lanes, env->cloud->latency().kv_push.median_s);
-  metrics.kv_pushes += static_cast<int64_t>(outgoing.size());
-  // The cache meters processed bytes per request: a push processes the
-  // whole value (header + chunk) — mirrored exactly for the cost model.
-  for (const Outgoing& out : outgoing) {
-    metrics.send_billed_bytes += static_cast<int64_t>(out.value.size());
-  }
+  // Lane-scheduled pushes of headed inbox values: each lane issues its
+  // next push when the previous completes, using the median op latency as
+  // the lane estimate.
+  DispatchLanes lanes(env, env->cloud->latency().kv_push.median_s);
+  metrics.kv_pushes += static_cast<int64_t>(frames.size());
   const std::string ns = NamespaceName(options);
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, ns, key = std::move(out.key),
-                 value = std::move(out.value)]() mutable {
-          cloud->kv().Push(ns, key, std::move(value));
-        });
+  for (Frame& frame : frames) {
+    const int32_t target = frame.target;
+    Bytes value = EncodeInboxValue(std::move(frame));
+    // The cache meters processed bytes per request: a push processes the
+    // whole value (header + chunk) — mirrored exactly for the cost model.
+    metrics.send_billed_bytes += static_cast<int64_t>(value.size());
+    lanes.Dispatch([cloud = env->cloud, ns, key = InboxKey(phase, target),
+                    value = std::move(value)]() mutable {
+      cloud->kv().Push(ns, key, std::move(value));
+    });
   }
-  // The worker only pays the pipelined dispatch overhead; the op round
-  // trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  return lanes.ChargeOverhead();
 }
 
 Result<linalg::ActivationMap> KvChannel::ReceivePhase(
@@ -145,18 +101,11 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
   const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
-
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
+  FrameTracker tracker(sources, &metrics);
 
   const std::string ns = NamespaceName(options);
   const std::string inbox = InboxKey(phase, env->worker_id);
-  while (!pending.empty()) {
+  while (!tracker.done()) {
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
     FSD_ASSIGN_OR_RETURN(
@@ -168,10 +117,10 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
       ++metrics.kv_empty_pops;
       continue;
     }
-    // First pass (inline): header decode and per-source bookkeeping — the
-    // poll loop's control state. The row decode itself is batched below
-    // and runs under the batch's deserialization window.
-    uint64_t popped_bytes = 0;
+    // Header checks and per-source bookkeeping stay inline (they drive
+    // the poll loop); the accepted bodies decode as one batch under the
+    // deserialization window for their bytes.
+    uint64_t accepted_bytes = 0;
     std::vector<Bytes> bodies;
     bodies.reserve(values.size());
     for (const Bytes& value : values) {
@@ -179,40 +128,17 @@ Result<linalg::ActivationMap> KvChannel::ReceivePhase(
       // included — counted before any skip, because the service meters
       // what it moved, not what the receiver could use.
       metrics.recv_billed_bytes += static_cast<int64_t>(value.size());
-      FSD_ASSIGN_OR_RETURN(DecodedInboxValue decoded, DecodeInboxValue(value));
-      auto it = pending.find(decoded.source);
-      if (it == pending.end()) {
-        // Pops are destructive, so a duplicate can only mean a stray value
-        // from a mis-scoped sender; count it like the other channels do.
-        ++metrics.redundant_skipped;
-        continue;
-      }
-      it->second.expected = decoded.total;
-      ++it->second.got;
-      metrics.recv_wire_bytes += static_cast<int64_t>(decoded.body.size());
-      popped_bytes += decoded.body.size();
-      bodies.push_back(std::move(decoded.body));
-      if (it->second.got == it->second.expected) pending.erase(it);
+      FSD_ASSIGN_OR_RETURN(Frame frame,
+                           DecodeInboxValue(value, options.num_workers));
+      // Pops are destructive, so a frame from a non-pending source can only
+      // be a stray value from a mis-scoped sender; the tracker counts it.
+      if (!tracker.Accept(frame)) continue;
+      accepted_bytes += frame.body.size();
+      bodies.push_back(std::move(frame.body));
     }
-    const double deser_s =
-        static_cast<double>(popped_bytes) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    Status decoded_rows;
-    std::function<void()> decode_fn;
-    if (!bodies.empty()) {
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += deser_s;
-      decode_fn = [&]() {
-        for (const Bytes& body : bodies) {
-          decoded_rows = DecodeRows(body, &received);
-          if (!decoded_rows.ok()) return;
-        }
-      };
-    }
-    const size_t before = received.size();
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(deser_s, std::move(decode_fn)));
-    FSD_RETURN_IF_ERROR(decoded_rows);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
+    FSD_RETURN_IF_ERROR(DecodeUnderCharge(env, &metrics, accepted_bytes,
+                                          /*extra_window_s=*/0.0, bodies,
+                                          &received));
   }
 
   metrics.recv_wait_s += env->cloud->sim()->Now() - start;

@@ -29,20 +29,15 @@
 
 namespace fsd::core {
 
-/// Inbox value layout: varint(source), varint(seq), varint(total), chunk
-/// wire. Shared with the direct channel, whose KV relay fallback must stay
-/// byte-identical to a KvChannel send so relay costs meter the same way.
-Bytes EncodeInboxValue(int32_t source, int32_t seq, int32_t total,
-                       Bytes wire);
+/// Inbox value layout: varint(source), varint(seq), varint(total), frame
+/// body. Shared with the direct channel, whose values (punched or relayed)
+/// must stay byte-identical to a KvChannel send so relay costs meter the
+/// same way.
+Bytes EncodeInboxValue(Frame frame);
 
-struct DecodedInboxValue {
-  int32_t source = 0;
-  int32_t seq = 0;
-  int32_t total = 0;
-  Bytes body;
-};
-
-Result<DecodedInboxValue> DecodeInboxValue(const Bytes& value);
+/// Parses an inbox value of a `num_workers` run. Truncated varints and
+/// headers ParseFrameHeader rejects return a non-OK Status.
+Result<Frame> DecodeInboxValue(const Bytes& value, int32_t num_workers);
 
 class KvChannel : public CommChannel {
  public:
@@ -54,8 +49,15 @@ class KvChannel : public CommChannel {
   /// Deletes the run's namespace, billing node time for its lifetime.
   static Status Teardown(cloud::CloudEnv* cloud, const FsdOptions& options);
 
+  /// Creates / deletes one namespace if (not) present: the KV channel's
+  /// own, or the direct channel's relay.
+  static Status CreateNamespace(cloud::CloudEnv* cloud, const std::string& ns,
+                                const FsdOptions& options);
+  static Status DeleteNamespace(cloud::CloudEnv* cloud, const std::string& ns);
+
   static std::string NamespaceName(const FsdOptions& options);
-  /// Inbox list key "p{phase}/w{target}".
+  /// Inbox list key "p{phase}/w{target}" (also the direct channel's
+  /// fabric and relay inbox).
   static std::string InboxKey(int32_t phase, int32_t target);
 
   std::string_view name() const override { return "kv"; }

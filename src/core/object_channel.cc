@@ -1,7 +1,6 @@
 #include "core/object_channel.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 #include "sim/simulation.h"
@@ -23,8 +22,7 @@ std::string ObjectChannel::ObjectKey(int32_t phase, int32_t source,
 Status ObjectChannel::Provision(cloud::CloudEnv* cloud,
                                 const FsdOptions& options) {
   for (int32_t b = 0; b < options.num_buckets; ++b) {
-    const std::string bucket =
-        StrFormat("%sbucket-%d", options.channel_scope.c_str(), b);
+    const std::string bucket = BucketName(b, options);
     if (!cloud->objects().BucketExists(bucket)) {
       FSD_RETURN_IF_ERROR(cloud->objects().CreateBucket(bucket));
     }
@@ -38,81 +36,27 @@ Status ObjectChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
-
-  // Plan first: per-target raw bytes are input-determined, so the CPU
-  // charge is computable before encoding. Targets taking the .nul-marker
-  // path never encode at all.
-  uint64_t serialize_bytes = 0;
-  std::vector<EncodePlan> plans(sends.size());
-  for (size_t s = 0; s < sends.size(); ++s) {
-    metrics.send_rows_mapped += static_cast<int64_t>(sends[s].rows->size());
-    plans[s] = PlanRows(source, *sends[s].rows, /*max_chunk_bytes=*/0);
-    metrics.send_rows_active += plans[s].active_rows;
-    if (plans[s].active_rows == 0 && options.nul_markers) continue;
-    serialize_bytes += plans[s].raw_bytes;
-  }
-
-  // Serialization CPU (parallel over IPC lanes), with the encode itself
-  // run under the charged window; accounting and PUT dispatch follow the
-  // join. Every send yields exactly one outgoing object (.dat or .nul).
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, sends.size(), [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          if (plans[s].active_rows == 0 && options.nul_markers) continue;
-          // One unbounded chunk per target (object payloads are size-free).
-          encoded[s] = EncodeRows(source, *sends[s].rows,
-                                  /*max_chunk_bytes=*/0,
-                                  WireCodecFromOptions(options));
-        }
-      }));
-
-  struct Outgoing {
-    std::string bucket;
-    std::string key;
-    Bytes body;
-    bool is_nul;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(sends.size());
-  for (size_t s = 0; s < sends.size(); ++s) {
-    const SendSpec& send = sends[s];
-    if (plans[s].active_rows == 0 && options.nul_markers) {
-      // 0-byte marker: the target learns there is nothing to read.
-      outgoing.push_back(
-          {BucketName(send.target, options),
-           ObjectKey(phase, env->worker_id, send.target, /*empty=*/true),
-           Bytes{},
-           /*is_nul=*/true});
-      ++metrics.puts_nul;
-      continue;
-    }
-    FSD_CHECK_EQ(encoded[s].chunks.size(), 1u);
-    RowChunk& chunk = encoded[s].chunks[0];
-    AccountSendChunk(&metrics, chunk);
-    ++metrics.puts_dat;
-    outgoing.push_back(
-        {BucketName(send.target, options),
-         ObjectKey(phase, env->worker_id, send.target, /*empty=*/false),
-         std::move(chunk.wire),
-         /*is_nul=*/false});
-  }
+  // One unbounded chunk per target (object payloads are size-free), so
+  // every send yields exactly one outgoing object. A target with nothing to
+  // transmit gets a 0-byte ".nul" marker instead of an encode.
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<Frame> frames,
+      EncodeFrames(env, &metrics, source, sends, /*max_chunk_bytes=*/0,
+                   /*skip_empty=*/options.nul_markers));
 
   // Non-blocking multi-threaded PUTs: lane-scheduled dispatch callbacks.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().object_put.median_s);
-  for (Outgoing& out : outgoing) {
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, bucket = std::move(out.bucket),
-                 key = std::move(out.key), body = std::move(out.body)]() {
-          cloud->objects().Put(bucket, key, body);
-        });
+  DispatchLanes lanes(env, env->cloud->latency().object_put.median_s);
+  for (Frame& frame : frames) {
+    const bool is_nul = frame.body.empty();
+    ++(is_nul ? metrics.puts_nul : metrics.puts_dat);
+    lanes.Dispatch([cloud = env->cloud,
+                    bucket = BucketName(frame.target, options),
+                    key = ObjectKey(phase, frame.source, frame.target, is_nul),
+                    body = std::move(frame.body)]() {
+      cloud->objects().Put(bucket, key, body);
+    });
   }
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, outgoing.size()));
-  return Status::OK();
+  return lanes.ChargeOverhead();
 }
 
 Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
@@ -122,14 +66,12 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
   const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
-
-  std::set<int32_t> pending(sources.begin(), sources.end());
+  FrameTracker tracker(sources, &metrics);
   const std::string bucket = BucketName(env->worker_id, options);
   const std::string prefix =
       StrFormat("%d/%d/", phase, env->worker_id);
 
-  while (!pending.empty()) {
+  while (!tracker.done()) {
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
     FSD_ASSIGN_OR_RETURN(std::vector<cloud::ObjectMeta> handles,
@@ -145,13 +87,13 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
       const int32_t source = std::atoi(tail.c_str());
       const bool is_nul = tail.size() > 4 &&
                           tail.compare(tail.size() - 4, 4, ".nul") == 0;
-      if (!pending.contains(source)) {
+      if (!tracker.pending(source)) {
         if (!is_nul) ++metrics.redundant_skipped;  // already received
         continue;
       }
       if (is_nul) {
         // Source had nothing to transmit; no GET needed.
-        pending.erase(source);
+        tracker.Accept(Frame{source, env->worker_id, 0, 1, {}});
         ++metrics.nul_skipped;
         continue;
       }
@@ -173,29 +115,15 @@ Result<linalg::ActivationMap> ObjectChannel::ReceivePhase(
         if (!got.status.ok()) return got.status;
         latencies.push_back(got.latency);
         got_bytes += got.body.size();
-        metrics.recv_wire_bytes += static_cast<int64_t>(got.body.size());
-        bodies.push_back(std::move(got.body));
-        pending.erase(source);
+        Frame frame{source, env->worker_id, 0, 1, std::move(got.body)};
+        tracker.Accept(frame);
+        bodies.push_back(std::move(frame.body));
       }
-      const double get_makespan =
-          sim::ParallelMakespan(latencies, options.io_lanes);
-      const double deser_s =
-          static_cast<double>(got_bytes) / compute.deserialize_bytes_per_s;
-      metrics.deserialize_s += deser_s;
-      metrics.offload_calls += 1;
-      metrics.offload_virtual_s += get_makespan + deser_s;
-      const size_t before = received.size();
-      Status decoded;
-      FSD_RETURN_IF_ERROR(
-          env->faas->OffloadFor(get_makespan + deser_s, [&]() {
-            for (const Bytes& body : bodies) {
-              decoded = DecodeRows(body, &received);
-              if (!decoded.ok()) return;
-            }
-          }));
-      FSD_RETURN_IF_ERROR(decoded);
-      metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    } else if (!pending.empty()) {
+      FSD_RETURN_IF_ERROR(DecodeUnderCharge(
+          env, &metrics, got_bytes,
+          sim::ParallelMakespan(latencies, options.io_lanes), bodies,
+          &received));
+    } else if (!tracker.done()) {
       // Nothing new this scan; brief back-off before re-listing keeps the
       // LIST count (and cost) down, as in the paper's optimization.
       FSD_RETURN_IF_ERROR(env->faas->SleepFor(options.object_scan_interval_s));

@@ -1,6 +1,7 @@
 #include "core/queue_channel.h"
 
-#include <algorithm>
+#include <charconv>
+#include <cstdint>
 
 #include "common/strings.h"
 #include "sim/simulation.h"
@@ -13,6 +14,46 @@ constexpr char kAttrSource[] = "src";
 constexpr char kAttrPhase[] = "phase";
 constexpr char kAttrSeq[] = "seq";
 constexpr char kAttrTotal[] = "total";
+
+/// Billed increments for one request moving `bytes` bytes under a
+/// `increment_bytes` billing granularity (>= 1 increment per request —
+/// the pub-sub 64 KiB publish-chunk rule).
+int64_t BilledIncrementChunks(uint64_t bytes, uint64_t increment_bytes) {
+  const uint64_t chunks = (bytes + increment_bytes - 1) / increment_bytes;
+  return static_cast<int64_t>(chunks > 0 ? chunks : 1);
+}
+
+/// One decimal header attribute. A missing or garbled attribute is an
+/// error, never a silent zero.
+Result<uint64_t> HeaderAttr(const cloud::QueueMessage& msg, const char* key) {
+  uint64_t value = 0;
+  if (auto it = msg.attributes.find(key); it != msg.attributes.end()) {
+    const char* first = it->second.data();
+    const char* last = first + it->second.size();
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc() && end == last) return value;
+  }
+  return Status::InvalidArgument(
+      StrFormat("queue message attribute '%s' missing or malformed", key));
+}
+
+/// Rebuilds a frame from a message's header attributes (moving its body)
+/// and reports the phase the message belongs to.
+Result<Frame> ParseMessage(cloud::QueueMessage* msg, int32_t num_workers,
+                           int32_t* phase) {
+  FSD_ASSIGN_OR_RETURN(const uint64_t msg_phase, HeaderAttr(*msg, kAttrPhase));
+  FSD_ASSIGN_OR_RETURN(const uint64_t source, HeaderAttr(*msg, kAttrSource));
+  FSD_ASSIGN_OR_RETURN(const uint64_t seq, HeaderAttr(*msg, kAttrSeq));
+  FSD_ASSIGN_OR_RETURN(const uint64_t total, HeaderAttr(*msg, kAttrTotal));
+  if (msg_phase > static_cast<uint64_t>(INT32_MAX)) {
+    return Status::InvalidArgument("queue message phase overflows int32");
+  }
+  FSD_ASSIGN_OR_RETURN(Frame frame,
+                       ParseFrameHeader(source, seq, total, num_workers));
+  frame.body = std::move(msg->body);
+  *phase = static_cast<int32_t>(msg_phase);
+  return frame;
+}
 
 }  // namespace
 
@@ -29,9 +70,8 @@ std::string QueueChannel::QueueName(int32_t worker,
 
 Status QueueChannel::Provision(cloud::CloudEnv* cloud,
                                const FsdOptions& options) {
-  const std::string& scope = options.channel_scope;
   for (int32_t t = 0; t < options.num_topics; ++t) {
-    const std::string topic = StrFormat("%stopic-%d", scope.c_str(), t);
+    const std::string topic = TopicName(t, options);
     if (!cloud->pubsub().TopicExists(topic)) {
       FSD_RETURN_IF_ERROR(cloud->pubsub().CreateTopic(topic));
     }
@@ -46,8 +86,8 @@ Status QueueChannel::Provision(cloud::CloudEnv* cloud,
     cloud::FilterPolicy policy;
     policy.equals[kAttrTarget] = {StrFormat("%d", n)};
     for (int32_t t = 0; t < options.num_topics; ++t) {
-      FSD_RETURN_IF_ERROR(cloud->pubsub().Subscribe(
-          StrFormat("%stopic-%d", scope.c_str(), t), queue, policy));
+      FSD_RETURN_IF_ERROR(
+          cloud->pubsub().Subscribe(TopicName(t, options), queue, policy));
     }
   }
   return Status::OK();
@@ -59,66 +99,15 @@ Status QueueChannel::SendPhase(WorkerEnv* env, int32_t phase,
   if (sends.empty()) return Status::OK();
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
-  metrics.send_targets += static_cast<int64_t>(sends.size());
+  FSD_ASSIGN_OR_RETURN(
+      std::vector<Frame> frames,
+      EncodeFrames(env, &metrics, source, sends, options.max_message_bytes,
+                   /*skip_empty=*/false));
 
-  // 1) Plan the encode: the chunk count and exact raw byte total are
-  // determined by the inputs alone (PlanRows replays the NNZ chunking
-  // heuristic and the wire layout arithmetic), so the serialization
-  // charge is computable before a single byte is encoded.
-  uint64_t serialize_bytes = 0;
-  size_t total_chunks = 0;
-  for (const SendSpec& send : sends) {
-    metrics.send_rows_mapped += static_cast<int64_t>(send.rows->size());
-    const EncodePlan plan =
-        PlanRows(source, *send.rows, options.max_message_bytes);
-    metrics.send_rows_active += plan.active_rows;
-    serialize_bytes += plan.raw_bytes;
-    total_chunks += plan.num_chunks;
-  }
-
-  // 2) Charge the serialization/compression CPU and run the encode itself
-  // (varint packing + LZ/quant passes) under the charged window — on a
-  // pool thread when the sim has compute_threads > 0, inline at the
-  // window's end otherwise. All post-encode work (chunk accounting,
-  // message building, publish batching, dispatch) moves after the join;
-  // observationally identical, since the charge already preceded the
-  // publishes before this change.
-  std::vector<EncodeResult> encoded(sends.size());
-  FSD_RETURN_IF_ERROR(OffloadSerializeCpu(
-      env, &metrics, serialize_bytes, total_chunks, [&]() {
-        for (size_t s = 0; s < sends.size(); ++s) {
-          encoded[s] =
-              EncodeRows(source, *sends[s].rows, options.max_message_bytes,
-                         WireCodecFromOptions(options));
-        }
-      }));
-
-  // 3) Build per-target messages (the send buffer Xsend_list).
-  struct Outgoing {
-    int32_t target;
-    cloud::QueueMessage message;
-  };
-  std::vector<Outgoing> outgoing;
-  outgoing.reserve(total_chunks);
-  for (size_t s = 0; s < sends.size(); ++s) {
-    const int32_t total = static_cast<int32_t>(encoded[s].chunks.size());
-    for (int32_t seq = 0; seq < total; ++seq) {
-      RowChunk& chunk = encoded[s].chunks[seq];
-      AccountSendChunk(&metrics, chunk);
-      cloud::QueueMessage msg;
-      msg.body = std::move(chunk.wire);
-      msg.attributes[kAttrTarget] = StrFormat("%d", sends[s].target);
-      msg.attributes[kAttrSource] = StrFormat("%d", env->worker_id);
-      msg.attributes[kAttrPhase] = StrFormat("%d", phase);
-      msg.attributes[kAttrSeq] = StrFormat("%d", seq);
-      msg.attributes[kAttrTotal] = StrFormat("%d", total);
-      outgoing.push_back({sends[s].target, std::move(msg)});
-    }
-  }
-
-  // 4) Pop publish batches: group <=10 messages and <=256 KiB per publish
+  // Pop publish batches: group <=10 messages and <=256 KiB per publish
   // (pop_batches in Algorithm 1). Messages for different targets may share
-  // one publish — the filter policy splits them downstream.
+  // one publish — the filter policy splits them downstream. Each message
+  // carries its frame header in attributes.
   struct Batch {
     std::string topic;
     std::vector<cloud::QueueMessage> messages;
@@ -133,51 +122,47 @@ Status QueueChannel::SendPhase(WorkerEnv* env, int32_t phase,
       current = Batch{my_topic, {}, 0};
     }
   };
-  for (Outgoing& out : outgoing) {
-    const uint64_t size = out.message.SizeBytes();
+  for (Frame& frame : frames) {
+    cloud::QueueMessage msg;
+    msg.body = std::move(frame.body);
+    msg.attributes[kAttrTarget] = StrFormat("%d", frame.target);
+    msg.attributes[kAttrSource] = StrFormat("%d", frame.source);
+    msg.attributes[kAttrPhase] = StrFormat("%d", phase);
+    msg.attributes[kAttrSeq] = StrFormat("%d", frame.seq);
+    msg.attributes[kAttrTotal] = StrFormat("%d", frame.total);
+    const uint64_t size = msg.SizeBytes();
     const bool overflow =
         current.bytes + size > cloud::kMaxPublishBytes ||
         current.messages.size() >=
             static_cast<size_t>(cloud::kMaxMessagesPerPublish);
     if (!options.greedy_packing || overflow) flush();
-    current.messages.push_back(std::move(out.message));
+    current.messages.push_back(std::move(msg));
     current.bytes += size;
     if (!options.greedy_packing) flush();
   }
   flush();
 
-  // 5) Dispatch publishes on parallel IPC lanes: each lane issues its next
+  // Dispatch publishes on parallel IPC lanes: each lane issues its next
   // publish when the previous completes. Lane offsets use the median API
   // latency as the estimate; the true latency is sampled at publish time.
-  DispatchLanes lanes(options.io_lanes,
-                      env->cloud->latency().pubsub_publish.median_s);
+  DispatchLanes lanes(env, env->cloud->latency().pubsub_publish.median_s);
   metrics.publishes += static_cast<int64_t>(batches.size());
   const uint64_t increment =
       env->cloud->billing().pricing().pubsub_billing_increment_bytes;
   for (Batch& batch : batches) {
     // Mirror the service's batch-level 64 KiB-increment billing in the
     // worker metrics (the paper's per-layer S counter).
-    uint64_t batch_bytes = 0;
-    for (const cloud::QueueMessage& msg : batch.messages) {
-      batch_bytes += msg.SizeBytes();
-    }
-    metrics.publish_chunks += BilledIncrementChunks(batch_bytes, increment);
+    metrics.publish_chunks += BilledIncrementChunks(batch.bytes, increment);
     // Every message fans out to exactly one queue (its target's filter),
     // so the service bills delivery bytes = message sizes incl. attribute
     // envelopes — mirrored here so the cost model's Z term is exact.
-    metrics.send_billed_bytes += static_cast<int64_t>(batch_bytes);
-    const double offset = lanes.NextOffset();
-    cloud::CloudEnv* cloud = env->cloud;
-    std::string topic = batch.topic;
-    env->cloud->sim()->ScheduleCallback(
-        offset, [cloud, topic, messages = std::move(batch.messages)]() mutable {
-          cloud->pubsub().PublishBatch(topic, std::move(messages));
-        });
+    metrics.send_billed_bytes += static_cast<int64_t>(batch.bytes);
+    lanes.Dispatch([cloud = env->cloud, topic = batch.topic,
+                    messages = std::move(batch.messages)]() mutable {
+      cloud->pubsub().PublishBatch(topic, std::move(messages));
+    });
   }
-  // The worker itself only pays a small per-call dispatch overhead (handing
-  // work to the pool); the API round trips ride on the lanes above.
-  FSD_RETURN_IF_ERROR(ChargeDispatchOverhead(env, batches.size()));
-  return Status::OK();
+  return lanes.ChargeOverhead();
 }
 
 Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
@@ -187,61 +172,32 @@ Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
   const FsdOptions& options = *env->options;
   LayerMetrics& metrics = env->metrics->Layer(phase);
   const double start = env->cloud->sim()->Now();
-  const auto& compute = env->cloud->compute();
+  FrameTracker tracker(sources, &metrics);
 
-  // Per-source progress: how many chunks expected (unknown until the first
-  // message from that source arrives) and how many consumed.
-  struct Progress {
-    int32_t expected = -1;
-    int32_t got = 0;
-  };
-  std::map<int32_t, Progress> pending;
-  for (int32_t s : sources) pending.emplace(s, Progress{});
-
-  auto consume = [&](int32_t source, int32_t seq, int32_t total,
-                     const Bytes& body) -> Status {
-    auto it = pending.find(source);
-    if (it == pending.end()) {
-      ++metrics.redundant_skipped;
-      return Status::OK();
-    }
-    if (!seen_.insert({phase, source, seq}).second) {
+  // Each in-phase message decodes under its own deserialization window.
+  auto consume = [&](const Frame& frame) -> Status {
+    if (tracker.pending(frame.source) &&
+        !seen_.insert({phase, frame.source, frame.seq}).second) {
       ++metrics.redundant_skipped;  // visibility-timeout redelivery
       return Status::OK();
     }
-    it->second.expected = total;
-    ++it->second.got;
-    metrics.recv_wire_bytes += static_cast<int64_t>(body.size());
-    // The deserialization charge depends only on the wire size, so the
-    // decode itself runs under the charged window (pool thread when the
-    // sim has compute_threads > 0). A decode error surfaces after the
-    // window — uniformly for every pool size.
-    const double deser_s =
-        static_cast<double>(body.size()) / compute.deserialize_bytes_per_s;
-    metrics.deserialize_s += deser_s;
-    metrics.offload_calls += 1;
-    metrics.offload_virtual_s += deser_s;
-    const size_t before = received.size();
-    Status decoded;
-    FSD_RETURN_IF_ERROR(env->faas->OffloadFor(
-        deser_s, [&]() { decoded = DecodeRows(body, &received); }));
-    FSD_RETURN_IF_ERROR(decoded);
-    metrics.recv_rows += static_cast<int64_t>(received.size() - before);
-    if (it->second.got == it->second.expected) pending.erase(it);
-    return Status::OK();
+    if (!tracker.Accept(frame)) return Status::OK();
+    return DecodeUnderCharge(env, &metrics, frame.body.size(),
+                             /*extra_window_s=*/0.0, {&frame.body, 1},
+                             &received);
   };
 
   // Drain the stash first: chunks for this phase may have arrived while we
   // were receiving an earlier phase.
   if (auto it = stash_.find(phase); it != stash_.end()) {
-    for (ParsedMessage& msg : it->second) {
-      FSD_RETURN_IF_ERROR(consume(msg.source, msg.seq, msg.total, msg.body));
+    for (const Frame& frame : it->second) {
+      FSD_RETURN_IF_ERROR(consume(frame));
     }
     stash_.erase(it);
   }
 
   const std::string my_queue = QueueName(env->worker_id, options);
-  while (!pending.empty()) {
+  while (!tracker.done()) {
     FSD_RETURN_IF_ERROR(env->CheckAbort());
     FSD_RETURN_IF_ERROR(env->faas->CheckDeadline());
     FSD_ASSIGN_OR_RETURN(
@@ -257,18 +213,14 @@ Result<linalg::ActivationMap> QueueChannel::ReceivePhase(
     std::vector<uint64_t> to_delete;
     for (cloud::QueueMessage& msg : messages) {
       to_delete.push_back(msg.id);
-      ParsedMessage parsed;
-      parsed.source = std::atoi(msg.attributes[kAttrSource].c_str());
-      parsed.seq = std::atoi(msg.attributes[kAttrSeq].c_str());
-      parsed.total = std::atoi(msg.attributes[kAttrTotal].c_str());
-      const int32_t msg_phase = std::atoi(msg.attributes[kAttrPhase].c_str());
-      parsed.body = std::move(msg.body);
+      int32_t msg_phase = 0;
+      FSD_ASSIGN_OR_RETURN(Frame frame,
+                           ParseMessage(&msg, options.num_workers, &msg_phase));
       if (msg_phase != phase) {
-        stash_[msg_phase].push_back(std::move(parsed));
+        stash_[msg_phase].push_back(std::move(frame));
         continue;
       }
-      FSD_RETURN_IF_ERROR(
-          consume(parsed.source, parsed.seq, parsed.total, parsed.body));
+      FSD_RETURN_IF_ERROR(consume(frame));
     }
     FSD_RETURN_IF_ERROR(
         env->cloud->queues().DeleteMessages(my_queue, to_delete));

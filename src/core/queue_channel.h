@@ -20,6 +20,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/channel.h"
@@ -51,15 +52,8 @@ class QueueChannel : public CommChannel {
       const std::vector<int32_t>& sources) override;
 
  private:
-  struct ParsedMessage {
-    int32_t source = 0;
-    int32_t seq = 0;
-    int32_t total = 0;
-    Bytes body;
-  };
-
-  /// Messages that arrived while receiving a different phase.
-  std::map<int32_t, std::vector<ParsedMessage>> stash_;
+  /// Frames that arrived while receiving a different phase.
+  std::map<int32_t, std::vector<Frame>> stash_;
   /// (phase, source, seq) already consumed — redelivery dedup.
   std::set<std::tuple<int32_t, int32_t, int32_t>> seen_;
 };
