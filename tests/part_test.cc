@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "common/strings.h"
 #include "model/sparse_dnn.h"
 #include "part/hypergraph.h"
 #include "part/model_partition.h"
@@ -244,6 +246,103 @@ TEST(ModelPartition, WeightShareBytesSumsToModel) {
   EXPECT_EQ(total, static_cast<uint64_t>(dnn->TotalNnz()) * 8 +
                        4ull * 256 * 8);
 }
+
+// ---------------------------------------------------------------------------
+// Golden partitions: cross-commit identity pins. Partitioner refactors (gain
+// queues, coarsening, initial growth) must leave every number unchanged; the
+// constants are never re-recorded to make a refactor pass. Coarsening's net
+// order follows std::unordered_map iteration, so the digests are libstdc++
+// values.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the little-endian bytes of a stream of 64-bit words.
+class Fnv64 {
+ public:
+  void Add(int64_t word) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash_ ^= static_cast<uint64_t>(word >> shift) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// One line per fact: cut cost, transfers, the assignment digest, and per
+/// layer the number of (sender, target) entries, rows shipped and a digest
+/// of the send map.
+std::string PartitionDigest(const ModelPartition& partition) {
+  Fnv64 assignment;
+  for (int32_t part : partition.assignment) assignment.Add(part);
+  std::string out = StrFormat(
+      "cut=%lld transfers=%lld assignment=%016llx",
+      static_cast<long long>(partition.cut_cost),
+      static_cast<long long>(partition.total_row_transfers),
+      static_cast<unsigned long long>(assignment.value()));
+  for (size_t k = 0; k < partition.layers.size(); ++k) {
+    const LayerComm& comm = partition.layers[k];
+    Fnv64 send;
+    int64_t entries = 0;
+    int64_t rows = 0;
+    for (size_t m = 0; m < comm.send.size(); ++m) {
+      for (const SendEntry& entry : comm.send[m]) {
+        send.Add(static_cast<int64_t>(m));
+        send.Add(entry.peer);
+        send.Add(static_cast<int64_t>(entry.rows.size()));
+        for (int32_t row : entry.rows) send.Add(row);
+        ++entries;
+        rows += static_cast<int64_t>(entry.rows.size());
+      }
+    }
+    out += StrFormat("\nL%zu entries=%lld rows=%lld send=%016llx", k,
+                     static_cast<long long>(entries),
+                     static_cast<long long>(rows),
+                     static_cast<unsigned long long>(send.value()));
+  }
+  return out;
+}
+
+struct GoldenPartition {
+  int32_t neurons;
+  int32_t layers;
+  int32_t parts;
+  const char* expected;
+};
+
+class PartitionGolden : public ::testing::TestWithParam<GoldenPartition> {};
+
+TEST_P(PartitionGolden, MatchesRecordedPartition) {
+  const GoldenPartition& golden = GetParam();
+  model::SparseDnnConfig config;
+  config.neurons = golden.neurons;
+  config.layers = golden.layers;
+  auto dnn = model::GenerateSparseDnn(config);
+  ASSERT_TRUE(dnn.ok());
+  auto partition = PartitionModel(*dnn, golden.parts, ModelPartitionOptions{});
+  ASSERT_TRUE(partition.ok());
+  EXPECT_EQ(PartitionDigest(*partition), golden.expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, PartitionGolden,
+    ::testing::Values(
+        GoldenPartition{1024, 2, 8,
+                        "cut=9626 transfers=9626 assignment=72b33a44d63aa105\n"
+                        "L0 entries=56 rows=4822 send=396d5234e1c42afe\n"
+                        "L1 entries=56 rows=4804 send=d97e9d57be730452"},
+        GoldenPartition{4096, 4, 20,
+                        "cut=29442 transfers=60273 "
+                        "assignment=26bb4fda88627661\n"
+                        "L0 entries=158 rows=14668 send=c80b8c6c0b1ee831\n"
+                        "L1 entries=157 rows=14774 send=84f7b9999cf9c8e6\n"
+                        "L2 entries=158 rows=15573 send=ebe852f311a8f514\n"
+                        "L3 entries=158 rows=15258 send=54eb616124bfa8b9"}),
+    [](const ::testing::TestParamInfo<GoldenPartition>& info) {
+      return StrFormat("N%dL%dP%d", info.param.neurons, info.param.layers,
+                       info.param.parts);
+    });
 
 TEST(ModelPartition, RejectsBadArguments) {
   model::SparseDnnConfig config;
