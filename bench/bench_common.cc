@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include <sys/resource.h>
+
 #include "codec/varint.h"
 #include "common/check.h"
 #include "common/strings.h"
@@ -399,12 +401,20 @@ void WriteBenchJson(
                  path.string().c_str());
     return;
   }
+  // Peak resident set of the whole bench process so far (informational:
+  // the regression gate matches none of its patterns).
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::vector<std::pair<std::string, double>> all = metrics;
+  all.emplace_back("peak_rss_mb",
+                   static_cast<double>(usage.ru_maxrss) / 1024.0);
+
   out << "{\n  \"bench\": \"" << bench_name << "\",\n  \"scale\": \""
       << scale << "\",\n  \"metrics\": {";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << metrics[i].first << "\": ";
-    if (std::isfinite(metrics[i].second)) {
-      out << StrFormat("%.9g", metrics[i].second);
+  for (size_t i = 0; i < all.size(); ++i) {
+    out << (i == 0 ? "\n" : ",\n") << "    \"" << all[i].first << "\": ";
+    if (std::isfinite(all[i].second)) {
+      out << StrFormat("%.9g", all[i].second);
     } else {
       out << "null";
     }

@@ -131,8 +131,10 @@ bool SerialFitsPaperScale(int32_t neurons);
 /// When the env var FSD_BENCH_JSON names a directory, writes
 /// `<dir>/BENCH_<bench_name>.json` with the bench's headline numbers
 /// (typically p50/p95 latency, throughput, daily cost) plus the scale tier
-/// it ran at, so CI can archive the perf trajectory per commit. No-op when
-/// the env var is unset. Non-finite values are emitted as null.
+/// it ran at, so CI can archive the perf trajectory per commit. Every file
+/// also carries an informational `peak_rss_mb` key: the process's peak
+/// resident set so far, in MiB. No-op when the env var is unset.
+/// Non-finite values are emitted as null.
 void WriteBenchJson(
     const std::string& bench_name,
     const std::vector<std::pair<std::string, double>>& metrics);

@@ -115,6 +115,13 @@ Status ObjectStore::Delete(const std::string& bucket, const std::string& key) {
   return Status::OK();
 }
 
+Status ObjectStore::DeleteBucket(const std::string& name) {
+  if (buckets_.erase(name) == 0) {
+    return Status::NotFound("no such bucket: " + name);
+  }
+  return Status::OK();
+}
+
 uint64_t ObjectStore::TotalBytes() const {
   uint64_t total = 0;
   for (const auto& [name, bucket] : buckets_) {

@@ -75,6 +75,10 @@ class ObjectStore {
   /// Deletes an object (free on AWS; no billing dimension).
   Status Delete(const std::string& bucket, const std::string& key);
 
+  /// Deletes a bucket with every object in it. Offline teardown, the
+  /// mirror of CreateBucket: free, no virtual time, no RNG draw.
+  Status DeleteBucket(const std::string& name);
+
   /// Total stored bytes across buckets (diagnostics).
   uint64_t TotalBytes() const;
 

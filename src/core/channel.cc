@@ -262,11 +262,16 @@ Status ProvisionChannelResources(cloud::CloudEnv* cloud,
 
 Status TeardownChannelResources(cloud::CloudEnv* cloud,
                                 const FsdOptions& options) {
-  if (options.variant == Variant::kKv) {
-    return KvChannel::Teardown(cloud, options);
-  }
-  if (options.variant == Variant::kDirect) {
-    return DirectChannel::Teardown(cloud, options);
+  switch (options.variant) {
+    case Variant::kObject:
+      return ObjectChannel::Teardown(cloud, options);
+    case Variant::kKv:
+      return KvChannel::Teardown(cloud, options);
+    case Variant::kDirect:
+      return DirectChannel::Teardown(cloud, options);
+    case Variant::kQueue:
+    case Variant::kSerial:
+      return Status::OK();
   }
   return Status::OK();
 }

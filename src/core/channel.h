@@ -89,11 +89,14 @@ std::unique_ptr<CommChannel> MakeCommChannel(Variant variant);
 Status ProvisionChannelResources(cloud::CloudEnv* cloud,
                                  const FsdOptions& options);
 
-/// Releases per-run channel resources. Queue/object resources are
-/// request-priced and free to keep, so this is a no-op for them. The KV
-/// namespace is deleted, which bills its node time; the direct channel
-/// deletes its punch-brokering session (links close free) and its KV
-/// relay namespace, billing the relay's node time if any pair relayed.
+/// Releases per-run channel resources. Queue resources are request-priced
+/// and free to keep, so this is a no-op for them. The object channel
+/// deletes its bucket shards and every payload in them (free, untimed).
+/// The KV namespace is deleted, which bills its node time; the direct
+/// channel deletes its punch-brokering session (links close free) and its
+/// KV relay namespace, billing the relay's node time if any pair relayed.
+/// As with a deleted KV namespace, a dispatch callback that lands after
+/// teardown fails with NotFound and bills nothing.
 Status TeardownChannelResources(cloud::CloudEnv* cloud,
                                 const FsdOptions& options);
 

@@ -30,6 +30,17 @@ Status ObjectChannel::Provision(cloud::CloudEnv* cloud,
   return Status::OK();
 }
 
+Status ObjectChannel::Teardown(cloud::CloudEnv* cloud,
+                               const FsdOptions& options) {
+  for (int32_t b = 0; b < options.num_buckets; ++b) {
+    const std::string bucket = BucketName(b, options);
+    if (cloud->objects().BucketExists(bucket)) {
+      FSD_RETURN_IF_ERROR(cloud->objects().DeleteBucket(bucket));
+    }
+  }
+  return Status::OK();
+}
+
 Status ObjectChannel::SendPhase(WorkerEnv* env, int32_t phase,
                                 const linalg::ActivationMap& source,
                                 const std::vector<SendSpec>& sends) {

@@ -28,6 +28,9 @@ class ObjectChannel : public CommChannel {
   /// Pre-creates the bucket shards (offline step, as in the paper).
   static Status Provision(cloud::CloudEnv* cloud, const FsdOptions& options);
 
+  /// Deletes the run's bucket shards with their objects (free, untimed).
+  static Status Teardown(cloud::CloudEnv* cloud, const FsdOptions& options);
+
   static std::string BucketName(int32_t target, const FsdOptions& options);
   /// Key "{phase}/{target}/{source}_{target}" + (".dat" | ".nul").
   static std::string ObjectKey(int32_t phase, int32_t source, int32_t target,

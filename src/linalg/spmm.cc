@@ -148,10 +148,11 @@ ActivationMap LayerForwardImpl(const RowSource& source,
   const AccumulateFn accumulate = ResolveAccumulate();
   double macs = 0.0;
   int64_t output_nnz = 0;
-  // Hoisted out of the row loop: rows that produce no output (or whose
-  // touched positions all cancel/deactivate) reuse the buffers' capacity
-  // instead of reallocating per row; emplaced rows reserve exactly
-  // touched.size() up front instead of growth-doubling.
+  // Each row is built in this hoisted scratch, whose capacity carries
+  // across rows, and emplaced as an exact-capacity copy: ReLU and
+  // cancellation drop touched positions, so a row reserved for
+  // touched.size() would keep the dropped slots allocated for as long as
+  // the activation map lives.
   SparseVector row;
 
   for (size_t local = 0; local < source.size(); ++local) {
@@ -181,11 +182,8 @@ ActivationMap LayerForwardImpl(const RowSource& source,
     // Untouched positions evaluate to ReLU(bias); with the benchmark's
     // non-positive biases that is exactly 0, so skipping them is correct
     // (callers must not rely on positive biases activating silent rows).
-    row.dim = batch;
     row.idx.clear();
     row.val.clear();
-    row.idx.reserve(touched.size());
-    row.val.reserve(touched.size());
     for (int32_t pos : touched) {
       float v = acc[pos] + bias;
       acc[pos] = 0.0f;  // reset for the next output row
@@ -200,7 +198,8 @@ ActivationMap LayerForwardImpl(const RowSource& source,
     }
     if (!row.empty()) {
       output_nnz += static_cast<int64_t>(row.nnz());
-      out.emplace(source.GlobalId(local), std::move(row));
+      out.emplace(source.GlobalId(local),
+                  SparseVector{batch, row.idx, row.val});
     }
   }
 

@@ -6,6 +6,7 @@
 #include <queue>
 #include <unordered_map>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace fsd::part {
@@ -69,30 +70,72 @@ struct Bisection {
 // FM refinement (one pass: every vertex moves at most once; keep best prefix)
 // ---------------------------------------------------------------------------
 
+/// FM's lazy-deletion priority queue of (gain, tiebreak, vertex), bucketed
+/// by gain: one max-heap on tiebreak per gain value in [-bound, bound]. It
+/// pops in exactly the (gain desc, tiebreak desc) order of one binary heap
+/// over (gain, tiebreak), but a push sifts only within its own bucket, and
+/// entries need not carry their gain.
+class GainQueue {
+ public:
+  explicit GainQueue(int64_t bound)
+      : bound_(bound), buckets_(static_cast<size_t>(2 * bound + 1)) {}
+
+  void Push(int64_t gain, uint64_t tiebreak, int32_t vertex) {
+    const int64_t b = gain + bound_;
+    FSD_CHECK(b >= 0 && b < static_cast<int64_t>(buckets_.size()));
+    std::vector<Entry>& bucket = buckets_[static_cast<size_t>(b)];
+    bucket.push_back({tiebreak, vertex});
+    std::push_heap(bucket.begin(), bucket.end());
+    top_ = std::max(top_, b);
+  }
+
+  /// Pops the highest (gain, tiebreak) entry; false once empty.
+  bool Pop(int64_t* gain, int32_t* vertex) {
+    while (top_ >= 0 && buckets_[static_cast<size_t>(top_)].empty()) --top_;
+    if (top_ < 0) return false;
+    std::vector<Entry>& bucket = buckets_[static_cast<size_t>(top_)];
+    std::pop_heap(bucket.begin(), bucket.end());
+    *gain = top_ - bound_;
+    *vertex = bucket.back().vertex;
+    bucket.pop_back();
+    return true;
+  }
+
+ private:
+  struct Entry {
+    uint64_t tiebreak;
+    int32_t vertex;
+    bool operator<(const Entry& other) const {
+      return tiebreak < other.tiebreak;
+    }
+  };
+
+  int64_t bound_;
+  std::vector<std::vector<Entry>> buckets_;  // index = gain + bound_
+  int64_t top_ = -1;  // no bucket above this index holds an entry
+};
+
 void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
             Rng* rng) {
   const Hypergraph& hg = *bis->hg;
   const int32_t n = hg.num_vertices();
 
-  // Lazy-deletion priority queue of (gain, tiebreak, vertex).
-  struct Entry {
-    int64_t gain;
-    uint64_t tiebreak;
-    int32_t vertex;
-    bool operator<(const Entry& other) const {
-      if (gain != other.gain) return gain < other.gain;
-      return tiebreak < other.tiebreak;
-    }
-  };
-  std::priority_queue<Entry> heap;
+  // A boundary vertex is queued with its true gain, bounded in magnitude by
+  // the summed cost of its nets. Interior vertices start at 0 instead of
+  // their true gain, so their tracked gain is offset by up to that sum
+  // once a neighbour's move queues them: twice the largest sum bounds
+  // every gain this pass can see.
+  int64_t max_incident_cost = 0;
+  for (int32_t v = 0; v < n; ++v) {
+    int64_t incident = 0;
+    hg.ForEachNetOf(v, [&](int64_t e) { incident += hg.net_cost(e); });
+    max_incident_cost = std::max(max_incident_cost, incident);
+  }
+  GainQueue queue(2 * max_incident_cost);
   std::vector<int64_t> gain(n, 0);
   std::vector<uint8_t> moved(n, 0);
-  std::vector<uint8_t> queued(n, 0);
 
-  auto push = [&](int32_t v) {
-    heap.push({gain[v], rng->Next(), v});
-    queued[v] = 1;
-  };
+  auto push = [&](int32_t v) { queue.Push(gain[v], rng->Next(), v); };
 
   // Seed with boundary vertices only (interior moves cannot help first).
   for (int32_t v = 0; v < n; ++v) {
@@ -160,11 +203,10 @@ void FmPass(Bisection* bis, int64_t max_weight0, int64_t max_weight1,
     bis->Move(v);
   };
 
-  while (!heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
-    const int32_t v = top.vertex;
-    if (moved[v] || top.gain != gain[v]) continue;  // stale entry
+  int64_t top_gain = 0;
+  int32_t v = 0;
+  while (queue.Pop(&top_gain, &v)) {
+    if (moved[v] || top_gain != gain[v]) continue;  // stale entry
     // Balance check for the prospective move.
     const int to = 1 - bis->side[v];
     const int64_t new_weight = bis->weight[to] + hg.vertex_weight(v);

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <chrono>
 
+#if FSD_SIM_HAS_FIBERS
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
 #include "common/logging.h"
 
 namespace fsd::sim {
@@ -18,9 +23,18 @@ const std::string kSchedulerName = "scheduler";
 #if FSD_SIM_HAS_FIBERS
 /// Fiber stacks hold real workload code (worker trees run whole inference
 /// passes inside processes), so they must match what an OS thread would
-/// offer; 8 MiB per LIVE fiber (allocated at first resume, freed at reap)
-/// costs only the lazily-committed pages actually touched.
+/// offer. Each is a private anonymous mapping, so its pages are committed
+/// on first touch; a reaped fiber's stack goes back to the Simulation's
+/// pool with the pages it touched still resident, and the next fiber
+/// reuses it. Resident stack memory therefore tracks the peak number of
+/// concurrently live fibers times the depth each reached, never the total
+/// number of processes.
 constexpr size_t kFiberStackBytes = 8u << 20;
+
+size_t PageBytes() {
+  static const size_t bytes = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
 #endif
 
 }  // namespace
@@ -286,6 +300,10 @@ void Simulation::ReapProcess(Process* p) {
     if (w->thread.joinable()) w->thread.join();
     workers_[w->index].reset();
   }
+#if FSD_SIM_HAS_FIBERS
+  // The scheduler is back on its own stack, so the fiber's is free.
+  if (p->stack != nullptr) free_stacks_.push_back(std::move(p->stack));
+#endif
   processes_[p->pid - 1].reset();
 }
 
@@ -312,11 +330,27 @@ void Simulation::YieldToScheduler(Process* p) {
 }
 
 #if FSD_SIM_HAS_FIBERS
+void Simulation::UnmapFiberStack::operator()(char* mapping) const {
+  munmap(mapping, PageBytes() + kFiberStackBytes);
+}
+
 void Simulation::StartFiber(Process* p) {
   p->sim = this;
-  p->stack.reset(new char[kFiberStackBytes]);
+  if (!free_stacks_.empty()) {
+    p->stack = std::move(free_stacks_.back());
+    free_stacks_.pop_back();
+  } else {
+    void* mapping = mmap(nullptr, PageBytes() + kFiberStackBytes,
+                         PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    FSD_CHECK(mapping != MAP_FAILED);
+    p->stack.reset(static_cast<char*>(mapping));
+    // Stacks grow down: the lowest page is the guard.
+    FSD_CHECK_EQ(mprotect(mapping, PageBytes(), PROT_NONE), 0);
+    ++fiber_stacks_mapped_;
+  }
   getcontext(&p->context);
-  p->context.uc_stack.ss_sp = p->stack.get();
+  p->context.uc_stack.ss_sp = p->stack.get() + PageBytes();
   p->context.uc_stack.ss_size = kFiberStackBytes;
   p->context.uc_link = &sched_context_;
   const uint64_t bits = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(p));

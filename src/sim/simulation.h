@@ -233,6 +233,11 @@ class Simulation {
     return tearing_down_.load(std::memory_order_acquire);
   }
 
+  /// Fiber stacks mapped so far (diagnostic). Reaped fibers return their
+  /// stack to a pool, so this is the peak number of concurrently started
+  /// fibers, not the number of processes; always 0 on the thread tiers.
+  uint64_t fiber_stacks_mapped() const { return fiber_stacks_mapped_; }
+
   /// Total events dispatched (diagnostic).
   uint64_t events_dispatched() const { return events_dispatched_; }
   /// Events still queued (undispatched); after a run-to-completion Run()
@@ -248,6 +253,16 @@ class Simulation {
   friend class SimSignal;
 
   struct Process;
+
+#if FSD_SIM_HAS_FIBERS
+  /// Unmaps a fiber stack mapping (guard page plus usable stack).
+  struct UnmapFiberStack {
+    void operator()(char* mapping) const;
+  };
+  /// An mmap'd fiber stack: the mapping starts with a PROT_NONE guard page,
+  /// so an overflow faults instead of running into the next mapping.
+  using FiberStack = std::unique_ptr<char, UnmapFiberStack>;
+#endif
 
   /// One OS thread the kernel hands process bodies to. Fast path: bound to
   /// a process at its first resume and returned to an idle pool when the
@@ -290,7 +305,7 @@ class Simulation {
 #if FSD_SIM_HAS_FIBERS
     Simulation* sim = nullptr;    // back-pointer for the fiber trampoline
     ucontext_t context;           // fiber execution state
-    std::unique_ptr<char[]> stack;  // fiber stack (lazily allocated)
+    FiberStack stack;             // bound at first resume, pooled at reap
 #endif
   };
 
@@ -371,7 +386,8 @@ class Simulation {
   /// reference) is unwound or freed.
   void DrainOffloadPool();
 #if FSD_SIM_HAS_FIBERS
-  /// Allocates the fiber stack and context for `p`'s first resume.
+  /// Binds a pooled (or newly mapped) stack and builds the context for
+  /// `p`'s first resume.
   void StartFiber(Process* p);
   /// Fiber entry point; the Process* is split across the two makecontext
   /// int arguments (the portable ucontext pointer-passing idiom).
@@ -384,7 +400,11 @@ class Simulation {
   bool fibers_ = false;
 #if FSD_SIM_HAS_FIBERS
   ucontext_t sched_context_;  // where fibers yield back to
+  /// Stacks of reaped fibers, reused LIFO by the next StartFiber; the pool
+  /// holds at most the peak number of concurrently live fibers.
+  std::vector<FiberStack> free_stacks_;
 #endif
+  uint64_t fiber_stacks_mapped_ = 0;
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
   uint64_t next_pid_ = 1;

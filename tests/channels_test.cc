@@ -1,12 +1,17 @@
 // Direct unit tests of the two communication channels, below the worker
 // layer: chunking, publish packing, empty-send markers, cross-phase
-// stashing, and the object channel's .nul/redundant-read optimizations.
+// stashing, the object channel's .nul/redundant-read optimizations, and its
+// per-run teardown.
 #include <gtest/gtest.h>
 
 #include "cloud/cloud.h"
 #include "core/object_channel.h"
 #include "core/queue_channel.h"
+#include "core/runtime.h"
 #include "common/strings.h"
+#include "model/input_gen.h"
+#include "model/sparse_dnn.h"
+#include "part/model_partition.h"
 
 namespace fsd::core {
 namespace {
@@ -301,6 +306,45 @@ TEST_F(ChannelTest, ObjectScanBackoffBoundsListCalls) {
   // 0.5 s of waiting at a 10 ms scan interval plus LIST latency: well under
   // a hundred scans.
   EXPECT_LT(lists, 100);
+}
+
+TEST(ObjectChannelTeardown, RunInferenceLeavesNoShardsBehind) {
+  model::SparseDnnConfig config;
+  config.neurons = 128;
+  config.layers = 3;
+  auto dnn = model::GenerateSparseDnn(config);
+  ASSERT_TRUE(dnn.ok());
+  auto partition = part::PartitionModel(*dnn, 4, part::ModelPartitionOptions{});
+  ASSERT_TRUE(partition.ok());
+  model::InputConfig input_config;
+  input_config.neurons = 128;
+  input_config.batch = 8;
+  auto input = model::GenerateInputBatch(input_config);
+  ASSERT_TRUE(input.ok());
+
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  InferenceRequest request;
+  request.dnn = &*dnn;
+  request.partition = &*partition;
+  request.batches = {&*input};
+  request.options.variant = Variant::kObject;
+  request.options.num_workers = 4;
+  request.options.channel_scope = "teardown-";
+  auto report = RunInference(&cloud, request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->status.ok()) << report->status.ToString();
+  int64_t puts = 0;
+  for (const WorkerMetrics& worker : report->metrics.workers) {
+    for (const LayerMetrics& layer : worker.layers) puts += layer.puts_dat;
+  }
+  EXPECT_GT(puts, 0);  // the run did write payloads to its shards
+  for (int32_t b = 0; b < request.options.num_buckets; ++b) {
+    EXPECT_FALSE(cloud.objects().BucketExists(
+        ObjectChannel::BucketName(b, request.options)))
+        << "shard " << b;
+  }
+  EXPECT_EQ(cloud.objects().TotalBytes(), 0u);
 }
 
 }  // namespace

@@ -332,6 +332,55 @@ TEST_F(CloudTest, ObjectDeleteRemoves) {
   });
 }
 
+TEST_F(CloudTest, ObjectDeleteBucketDropsItsObjectsFreeAndUntimed) {
+  ASSERT_TRUE(cloud_.objects().CreateBucket("gone").ok());
+  ASSERT_TRUE(cloud_.objects().CreateBucket("kept").ok());
+  std::string ledger_before;
+  double deleted_at = -1.0;
+  InProcess([&] {
+    cloud_.objects().Put("gone", "a", Bytes(100, 1));
+    cloud_.objects().Put("gone", "b", Bytes(20, 2));
+    cloud_.objects().Put("kept", "c", Bytes(3, 3));
+    sim_.Hold(5.0);
+    ledger_before = cloud_.billing().ToString();
+    ASSERT_TRUE(cloud_.objects().DeleteBucket("gone").ok());
+    deleted_at = sim_.Now();
+  });
+  EXPECT_EQ(deleted_at, 5.0);
+  EXPECT_EQ(sim_.Now(), 5.0);
+  EXPECT_FALSE(cloud_.objects().BucketExists("gone"));
+  EXPECT_TRUE(cloud_.objects().BucketExists("kept"));
+  EXPECT_EQ(cloud_.objects().TotalBytes(), 3u);
+  EXPECT_EQ(cloud_.billing().ToString(), ledger_before);
+  EXPECT_EQ(cloud_.objects().DeleteBucket("gone").code(),
+            StatusCode::kNotFound);
+  // The name is free again, and the recreated bucket starts empty.
+  ASSERT_TRUE(cloud_.objects().CreateBucket("gone").ok());
+  InProcess([&] { EXPECT_TRUE(cloud_.objects().List("gone", "")->empty()); });
+}
+
+TEST(ObjectStoreDeleteBucket, DrawsNoRandomness) {
+  // Two clouds on one seed; only the first creates and deletes a bucket.
+  // The next PUT latency sample must still match.
+  double latency[2] = {0.0, 0.0};
+  for (int with_delete = 0; with_delete < 2; ++with_delete) {
+    sim::Simulation sim;
+    CloudEnv cloud(&sim);
+    ASSERT_TRUE(cloud.objects().CreateBucket("b").ok());
+    if (with_delete == 1) {
+      ASSERT_TRUE(cloud.objects().CreateBucket("tmp").ok());
+      ASSERT_TRUE(cloud.objects().DeleteBucket("tmp").ok());
+    }
+    sim.AddProcess("put", [&] {
+      latency[with_delete] =
+          cloud.objects().Put("b", "k", Bytes(4096, 7)).latency;
+    });
+    sim.Run();
+  }
+  EXPECT_GT(latency[0], 0.0);
+  EXPECT_EQ(latency[0], latency[1]);
+}
+
 TEST_F(CloudTest, ObjectRateLimiterAddsQueueingDelay) {
   LatencyConfig latency;
   RateLimiter limiter(10.0);  // 10 rps -> 0.1 s service time

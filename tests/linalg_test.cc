@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -297,6 +298,68 @@ TEST(LayerForward, KernelsProduceByteIdenticalOutputs) {
     EXPECT_EQ(portable_stats.output_nnz, vector_stats.output_nnz);
   }
 }
+
+class LayerForwardCapacity : public ::testing::TestWithParam<ForwardKernel> {
+ protected:
+  void TearDown() override { SetLayerForwardKernel(ForwardKernel::kAuto); }
+};
+
+TEST_P(LayerForwardCapacity, OutputRowsHoldNoSpareCapacity) {
+  SetLayerForwardKernel(GetParam());
+  if (GetParam() == ForwardKernel::kVectorized &&
+      !LayerForwardVectorizedAvailable()) {
+    GTEST_SKIP() << "AVX2 kernel not available on this build or CPU";
+  }
+  // Mixed-sign weights and a negative bias: ReLU drops many touched
+  // positions, so rows end up shorter than their touched lists.
+  Rng rng(99);
+  const int32_t n = 96;
+  const int32_t batch = 48;
+  std::vector<Triplet> triplets;
+  for (int32_t i = 0; i < n; ++i) {
+    for (int k = 0; k < 12; ++k) {
+      triplets.push_back({i, static_cast<int32_t>(rng.NextBounded(n)),
+                          static_cast<float>(rng.NextUniform(-1.0, 1.0))});
+    }
+  }
+  const CsrMatrix w = CsrMatrix::FromTriplets(n, n, triplets);
+  ActivationMap x;
+  for (int32_t j = 0; j < n; ++j) {
+    SparseVector row;
+    row.dim = batch;
+    for (int32_t s = 0; s < batch; ++s) {
+      // Contiguous leading runs take the AVX2 packed path.
+      if (s < batch / 2 || rng.NextBool(0.3)) {
+        row.idx.push_back(s);
+        row.val.push_back(static_cast<float>(rng.NextUniform(0.0, 2.0)));
+      }
+    }
+    x.emplace(j, std::move(row));
+  }
+  LayerForwardStats stats;
+  const ActivationMap out = LayerForwardAll(
+      w,
+      [&x](int32_t row) -> const SparseVector* {
+        auto it = x.find(row);
+        return it == x.end() ? nullptr : &it->second;
+      },
+      -0.3f, 8.0f, batch, &stats);
+  ASSERT_FALSE(out.empty());
+  // Some positions were dropped, or the check below would prove nothing.
+  EXPECT_LT(stats.output_nnz, static_cast<int64_t>(out.size()) * batch);
+  for (const auto& [id, row] : out) {
+    EXPECT_EQ(row.idx.capacity(), row.idx.size()) << "row " << id;
+    EXPECT_EQ(row.val.capacity(), row.val.size()) << "row " << id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, LayerForwardCapacity,
+    ::testing::Values(ForwardKernel::kPortable, ForwardKernel::kVectorized),
+    [](const ::testing::TestParamInfo<ForwardKernel>& info) {
+      return std::string(info.param == ForwardKernel::kPortable ? "Portable"
+                                                                : "Avx2");
+    });
 
 TEST(LayerForward, KernelSelectionReportsName) {
   SetLayerForwardKernel(ForwardKernel::kPortable);

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
+#include <cstdlib>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -426,6 +429,77 @@ TEST(Simulation, KillPathToleratesOffloadFromUnwindingDestructors) {
   }
   EXPECT_TRUE(ran);
 }
+
+#if FSD_SIM_HAS_FIBERS
+// ---------------------------------------------------------------------------
+// Fiber stacks (fiber tier only): mmap'd, guard-paged and pooled.
+// ---------------------------------------------------------------------------
+
+/// Recurses `depth` frames of at least 1 KiB each, writing each frame's
+/// buffer from the top down, and returns the lowest buffer address reached.
+/// The read after the recursive call keeps every frame live.
+__attribute__((noinline)) uintptr_t DescendStack(int depth) {
+  volatile char buf[1024];
+  buf[sizeof(buf) - 1] = static_cast<char>(depth);
+  buf[0] = static_cast<char>(depth);
+  const uintptr_t here = reinterpret_cast<uintptr_t>(&buf[0]);
+  if (depth == 0) return here;
+  const uintptr_t deepest = DescendStack(depth - 1);
+  return buf[sizeof(buf) - 1] == static_cast<char>(depth) ? deepest : here;
+}
+
+TEST(SimulationFiberStack, ProcessCanUseSixMiBOfStack) {
+  Simulation sim;
+  uintptr_t top = 0;
+  uintptr_t deepest = 0;
+  sim.AddProcess("deep", [&]() {
+    volatile char marker = 0;
+    top = reinterpret_cast<uintptr_t>(&marker);
+    deepest = DescendStack(6 * 1024);
+    sim.Hold(1.0);
+  });
+  sim.Run();
+  EXPECT_EQ(sim.live_processes(), 0);
+  EXPECT_GE(top - deepest, uintptr_t{6} << 20);
+}
+
+TEST(SimulationFiberStackDeathTest, OverflowFaultsOnGuardPage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Simulation sim;
+        // The neighbour's stack is mapped right after, directly below the
+        // overflowing one on a top-down mmap layout, so without the guard
+        // page the overflow would run into it silently and exit 0.
+        sim.AddProcess("overflow", [&sim]() {
+          sim.Hold(1.0);
+          DescendStack(9 * 1024);
+          std::_Exit(0);
+        });
+        sim.AddProcess("neighbour", [&sim]() { sim.Hold(2.0); });
+        sim.Run();
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
+}
+
+TEST(SimulationFiberStack, ReapedStacksAreReused) {
+  Simulation sim;
+  // Ten processes that never overlap share one stack.
+  for (int i = 0; i < 10; ++i) {
+    sim.AddProcess("serial", [&sim]() { sim.Hold(1.0); }, 2.0 * i);
+  }
+  sim.Run();
+  EXPECT_EQ(sim.fiber_stacks_mapped(), 1u);
+  // Four overlapping processes need four; a later wave reuses them.
+  for (int wave = 0; wave < 2; ++wave) {
+    for (int i = 0; i < 4; ++i) {
+      sim.AddProcess("wave", [&sim]() { sim.Hold(1.0); }, 100.0 * wave);
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(sim.fiber_stacks_mapped(), 4u);
+}
+#endif  // FSD_SIM_HAS_FIBERS
 
 TEST(ParallelMakespan, SingleLaneSums) {
   EXPECT_DOUBLE_EQ(ParallelMakespan({1.0, 2.0, 3.0}, 1), 6.0);
