@@ -5,21 +5,17 @@
 // for a fixed pool of service slots via signals, with timeout waits,
 // callback churn and streaming FleetStats aggregation — so the measured
 // cost is the KERNEL's (process handshakes, event heap, signal wakeups),
-// not the sparse math behind real worker trees. The same trace replays
-// under both kernel tunings:
-//
-//   legacy: one dedicated OS thread per process, mutex/cv handoff
-//           (the pre-optimization kernel, SimTuning::Legacy()), and
-//   fast:   the default tier — ucontext fibers on the scheduler's own
-//           thread where available, else pooled reusable threads with
-//           binary-semaphore handoff,
-//
-// and the bench reports wall-clock sim_events_per_sec for each plus the
-// speedup. Virtual-time results must be BYTE-IDENTICAL across tunings and
-// across repeated runs — the tuning changes how fast the kernel decides,
-// never what it decides — so the deterministic FleetStats summary doubles
-// as a correctness gate, and its virtual p50/p95 feed the (deterministic)
-// perf-regression baseline while events_per_sec gates direction-aware.
+// not the sparse math behind real worker trees. The trace replays on the
+// default kernel tier (ucontext fibers where available, else pooled
+// threads with a semaphore handoff) at least kMinReplays times and for at
+// least kMinTimedReplayS of wall clock; sim_events_per_sec is the fastest
+// replay's rate, so one descheduled replay cannot fail the wall-clock
+// gate. Virtual-time results must be BYTE-IDENTICAL across the repeated
+// replays — the kernel's speed never changes what it decides — so the
+// deterministic FleetStats summary doubles as a correctness gate, and its
+// virtual p50/p95 feed the (deterministic) perf-regression baseline while
+// events_per_sec gates direction-aware.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -29,6 +25,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/metrics.h"
@@ -41,19 +38,11 @@
 using namespace fsd;
 using bench::ScaleConfig;
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 namespace {
+
+/// Floors for the best-of-k replay timing behind sim_events_per_sec.
+constexpr int kMinReplays = 5;
+constexpr double kMinTimedReplayS = 0.25;
 
 struct ReplayResult {
   std::string fleet_summary;  // deterministic virtual-time results
@@ -243,7 +232,7 @@ int main() {
   config.seed = 20240;
   // Peak offered load (200 x 1.3 x 1.15 = ~300 qps) stays under the slot
   // pool's ~530 qps service capacity, so the waiter queue — and with it
-  // the legacy kernel's live-thread count — stays bounded.
+  // the live-process count — stays bounded.
   config.flash_crowds = {core::FlashCrowd{60.0, 15.0, 1.15}};
   core::TenantSpec gold;
   gold.tenant = 1;
@@ -265,56 +254,44 @@ int main() {
 
   bench::PrintHeader(
       "TRACE REPLAY — DES kernel throughput on a production-style trace",
-      StrFormat("%zu queries, 3 tenants, diurnal + flash crowd; pooled "
-                "fast path vs legacy thread-per-process kernel",
-                trace->queries.size()));
+      StrFormat("%zu queries, 3 tenants, diurnal + flash crowd; default "
+                "kernel tier, best of >= %d replays",
+                trace->queries.size(), kMinReplays));
 
-  const ReplayResult fast = Replay(*trace, sim::SimTuning{}, slots);
-  const ReplayResult fast2 = Replay(*trace, sim::SimTuning{}, slots);
-  const ReplayResult legacy =
-      Replay(*trace, sim::SimTuning::Legacy(), slots);
+  // Best-of-k timing: one replay at tiny scale lasts ~10 ms, short enough
+  // for a single scheduler hiccup to sink the wall-clock gate. Repeat until
+  // both floors are met and report the fastest replay; every repetition
+  // must reproduce the first one's virtual results byte for byte.
+  const ReplayResult first = Replay(*trace, sim::SimTuning{}, slots);
+  double best_wall_s = first.wall_s;
+  double timed_s = first.wall_s;
+  int replays = 1;
+  while (replays < kMinReplays || timed_s < kMinTimedReplayS) {
+    const ReplayResult again = Replay(*trace, sim::SimTuning{}, slots);
+    if (again.fleet_summary != first.fleet_summary ||
+        again.events != first.events) {
+      std::fprintf(stderr,
+                   "FAIL: replay %d is not deterministic\nfirst: %s\n"
+                   "again: %s\n",
+                   replays + 1, first.fleet_summary.c_str(),
+                   again.fleet_summary.c_str());
+      return 1;
+    }
+    best_wall_s = std::min(best_wall_s, again.wall_s);
+    timed_s += again.wall_s;
+    ++replays;
+  }
+  const double events_per_sec =
+      static_cast<double>(first.events) / best_wall_s;
 
-  const double fast_eps = static_cast<double>(fast.events) / fast.wall_s;
-  const double legacy_eps =
-      static_cast<double>(legacy.events) / legacy.wall_s;
-  const double speedup = fast_eps / legacy_eps;
-
-  std::printf("%-8s | %12s %14s %10s\n", "kernel", "events", "wall (s)",
-              "events/s");
+  std::printf("%-8s | %12s %14s %14s %10s\n", "replays", "events",
+              "best wall (s)", "total wall (s)", "events/s");
   bench::PrintRule();
-  std::printf("%-8s | %12llu %14.3f %10.0f\n", "fast",
-              static_cast<unsigned long long>(fast.events), fast.wall_s,
-              fast_eps);
-  std::printf("%-8s | %12llu %14.3f %10.0f\n", "legacy",
-              static_cast<unsigned long long>(legacy.events), legacy.wall_s,
-              legacy_eps);
-  std::printf("\nspeedup: %.2fx   virtual p50=%.3fs p95=%.3fs\n", speedup,
-              fast.p50_s, fast.p95_s);
-
-  // Correctness gates: identical event counts and byte-identical fleet
-  // results across runs AND across tunings.
-  if (fast.fleet_summary != fast2.fleet_summary ||
-      fast.events != fast2.events) {
-    std::fprintf(stderr, "FAIL: fast replay is not deterministic\n");
-    return 1;
-  }
-  if (fast.fleet_summary != legacy.fleet_summary ||
-      fast.events != legacy.events) {
-    std::fprintf(stderr,
-                 "FAIL: fast and legacy kernels disagree on virtual-time "
-                 "results\nfast:   %s\nlegacy: %s\n",
-                 fast.fleet_summary.c_str(), legacy.fleet_summary.c_str());
-    return 1;
-  }
-  std::printf("determinism: fast==fast (replayed) and fast==legacy — OK\n");
-
-  // Perf gate: the pooled kernel must beat thread-per-process by >= 3x at
-  // quick scale and above. Tiny (CTest smoke) runs are too short to time
-  // reliably, and sanitizers distort thread costs — report only there.
-  if (!scale.tiny && !kSanitized && speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: fast kernel speedup %.2fx < 3x\n", speedup);
-    return 1;
-  }
+  std::printf("%-8d | %12llu %14.4f %14.3f %10.0f\n", replays,
+              static_cast<unsigned long long>(first.events), best_wall_s,
+              timed_s, events_per_sec);
+  std::printf("\nvirtual p50=%.3fs p95=%.3fs\n", first.p50_s, first.p95_s);
+  std::printf("determinism: all %d replays byte-identical — OK\n", replays);
 
   // ---- compute offload: multi-core worker kernels, one virtual time ----
   // 16 processes each push `rounds` real sparse-kernel closures through
@@ -397,7 +374,7 @@ int main() {
   // sanitizers distort thread costs, and hosts without enough cores cannot
   // overlap anything — report only there.
   const unsigned cores = std::thread::hardware_concurrency();
-  if (!scale.tiny && !kSanitized && cores >= 4 && offload_speedup < 1.5) {
+  if (!scale.tiny && !FSD_SANITIZED && cores >= 4 && offload_speedup < 1.5) {
     std::fprintf(stderr, "FAIL: offload speedup %.2fx < 1.5x\n",
                  offload_speedup);
     return 1;
@@ -410,12 +387,10 @@ int main() {
   bench::WriteBenchJson(
       "trace_replay",
       {
-          {"sim_events_per_sec", fast_eps},
-          {"sim_events_per_sec_legacy", legacy_eps},
-          {"kernel_speedup", speedup},
-          {"replay_latency_p50_s", fast.p50_s},
-          {"replay_latency_p95_s", fast.p95_s},
-          {"replay_events", static_cast<double>(fast.events)},
+          {"sim_events_per_sec", events_per_sec},
+          {"replay_latency_p50_s", first.p50_s},
+          {"replay_latency_p95_s", first.p95_s},
+          {"replay_events", static_cast<double>(first.events)},
           {"compute_replay_per_sec", pooled_cps},
           {"compute_replay_per_sec_inline", inline_cps},
           {"compute_offload_speedup", offload_speedup},

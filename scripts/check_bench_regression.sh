@@ -12,8 +12,8 @@
 #     billing change that moves bytes or dollars without moving latency.
 #   - *_per_sec throughput metrics (events_per_sec, bytes_per_sec, ...):
 #     SMALLER is worse. These are wall-clock, so the threshold also absorbs
-#     machine noise; the bench binaries gate the structural claim (kernel
-#     speedup) themselves.
+#     machine noise; bench_trace_replay reports the best of several timed
+#     replays so one descheduled run cannot trip it.
 # The generous threshold leaves room for intentional scheduling/latency-
 # model changes (refresh the baselines in the same PR when one is
 # deliberate).

@@ -9,6 +9,22 @@
 #include <cstdio>
 #include <cstdlib>
 
+/// 1 when the translation unit is built under AddressSanitizer or
+/// ThreadSanitizer (GCC defines __SANITIZE_*__, Clang answers
+/// __has_feature), else 0. Kernels that switch stacks or pick SIMD paths
+/// key their sanitizer fallbacks off this one definition.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FSD_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FSD_SANITIZED 1
+#else
+#define FSD_SANITIZED 0
+#endif
+#else
+#define FSD_SANITIZED 0
+#endif
+
 namespace fsd::internal {
 
 [[noreturn]] inline void CheckFailed(const char* file, int line,

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 
+#include "common/check.h"
 #include "linalg/csr.h"
 #include "linalg/sparse_vector.h"
 
@@ -24,22 +25,10 @@
 /// builds fall back to the portable kernel (mirrors FSD_SIM_HAS_FIBERS:
 /// keep the sanitizer jobs exercising the path every machine can take).
 /// Define FSD_NO_SIMD to force the portable kernel on any build.
-#if defined(FSD_NO_SIMD)
+#if defined(FSD_NO_SIMD) || FSD_SANITIZED || !defined(__x86_64__)
 #define FSD_LINALG_HAS_SIMD 0
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FSD_LINALG_HAS_SIMD 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define FSD_LINALG_HAS_SIMD 0
-#elif defined(__x86_64__)
-#define FSD_LINALG_HAS_SIMD 1
 #else
-#define FSD_LINALG_HAS_SIMD 0
-#endif
-#elif defined(__x86_64__)
 #define FSD_LINALG_HAS_SIMD 1
-#else
-#define FSD_LINALG_HAS_SIMD 0
 #endif
 
 namespace fsd::linalg {

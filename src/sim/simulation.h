@@ -1,25 +1,23 @@
 // Process-oriented discrete-event simulation (DES) kernel.
 //
-// The kernel drives "processes" — user functions that run on dedicated OS
-// threads but execute strictly one at a time under the scheduler's control
-// (SimPy-style cooperative simulation). Virtual time only advances between
-// events; a process blocks by calling Hold()/Wait*() which hands control
-// back to the scheduler. Because exactly one process is ever runnable and
-// the event queue orders by (time, sequence), simulations are fully
-// deterministic and race-free regardless of host scheduling.
+// The kernel drives "processes" — user functions that execute strictly one
+// at a time under the scheduler's control (SimPy-style cooperative
+// simulation). Virtual time only advances between events; a process blocks
+// by calling Hold()/Wait*() which hands control back to the scheduler.
+// Because exactly one process is ever runnable and the event queue orders
+// by (time, sequence), simulations are fully deterministic and race-free
+// regardless of host scheduling.
 //
-// Three per-event cost tiers exist (SimTuning): the default runs process
-// bodies as single-thread FIBERS (ucontext) — a handoff is one user-space
-// stack switch, no OS scheduling at all, which is what lets a trace replay
-// push millions of events through on one core. Where fibers are
-// unavailable (sanitized builds instrument stack switches poorly) the
-// fast path binds process bodies lazily to a reused pool of worker
-// threads and hands control over with a semaphore pair, and the legacy
-// path reproduces the original thread-per-process + condition-variable
-// kernel. Event ordering is byte-identical across all tiers — the tuning
-// only changes HOW a decision already made by the event heap is carried
-// out — so the legacy tier doubles as the measured pre-optimization
-// baseline (bench_trace_replay) and as a cross-validation oracle
+// Two per-event cost tiers exist (SimTuning::use_fibers): the default runs
+// process bodies as single-thread FIBERS (ucontext) — a handoff is one
+// user-space stack switch, no OS scheduling at all, which is what lets a
+// trace replay push millions of events through on one core. Where fibers
+// are unavailable (sanitized builds instrument stack switches poorly,
+// non-Linux hosts) or switched off, process bodies bind lazily to a reused
+// pool of worker threads and control moves over a semaphore pair. Event
+// ordering is byte-identical across both tiers — the tuning only changes
+// HOW a decision already made by the event heap is carried out — so the
+// thread tier doubles as the fibers' cross-validation oracle
 // (tests/sim_property_test.cc).
 #ifndef FSD_SIM_SIMULATION_H_
 #define FSD_SIM_SIMULATION_H_
@@ -36,33 +34,21 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
+
 /// Fibers switch stacks under the sanitizers' feet (ASan's fake-stack and
 /// TSan's shadow state both assume one stack per thread), so sanitized
 /// builds fall back to the pooled-thread tier. Define FSD_SIM_NO_FIBERS to
 /// force the fallback on any build.
-#if defined(FSD_SIM_NO_FIBERS)
+#if defined(FSD_SIM_NO_FIBERS) || FSD_SANITIZED || !defined(__linux__)
 #define FSD_SIM_HAS_FIBERS 0
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define FSD_SIM_HAS_FIBERS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define FSD_SIM_HAS_FIBERS 0
-#elif defined(__linux__)
-#define FSD_SIM_HAS_FIBERS 1
 #else
-#define FSD_SIM_HAS_FIBERS 0
-#endif
-#elif defined(__linux__)
 #define FSD_SIM_HAS_FIBERS 1
-#else
-#define FSD_SIM_HAS_FIBERS 0
 #endif
 
 #if FSD_SIM_HAS_FIBERS
 #include <ucontext.h>
 #endif
-
-#include "common/check.h"
 
 namespace fsd::sim {
 
@@ -71,41 +57,24 @@ class Simulation;
 /// Virtual time in seconds.
 using SimTime = double;
 
-/// Kernel execution-cost knobs. Neither flag may change observable
-/// simulation behaviour (event order, times, process semantics) — only the
-/// wall-clock cost per event. Defaults are the fast path; Legacy() selects
-/// the pre-optimization kernel for A/B measurement.
+/// Kernel execution-cost knobs. Neither may change observable simulation
+/// behaviour (event order, times, process semantics) — only the wall-clock
+/// cost per event.
 struct SimTuning {
-  /// Run process bodies on a reused pool of worker threads, bound at first
-  /// resume. Off: one OS thread is spawned per process at AddProcess (and
-  /// joined at teardown), the original behaviour — at trace scale the
-  /// dominant kernel cost. Only reached when fibers are off/unsupported.
-  bool reuse_threads = true;
-  /// Hand control between scheduler and process with a binary-semaphore
-  /// pair. Off: the original mutex + condition-variable ping-pong with
-  /// flag re-checks. Only reached when fibers are off/unsupported.
-  bool fast_handoff = true;
   /// Run process bodies as ucontext fibers on the scheduler's own thread:
   /// a handoff is a user-space stack switch (~100ns) instead of an OS
   /// context-switch round trip — on a single-core host the difference is
-  /// the whole kernel budget. Ignored (thread fallback) when the build
-  /// lacks fiber support (FSD_SIM_HAS_FIBERS == 0: sanitizers, non-Linux).
+  /// the whole kernel budget. Off, or when the build lacks fiber support
+  /// (FSD_SIM_HAS_FIBERS == 0: sanitizers, non-Linux), process bodies run
+  /// on pooled worker threads with a semaphore handoff instead.
   bool use_fibers = true;
   /// Real threads for Simulation::Offload closures. 0 runs every closure
   /// inline on the scheduler thread (today's behaviour); N overlaps
-  /// closures from distinct processes across N host cores. Like the other
-  /// knobs this must never change observable simulation behaviour — the
-  /// closure's virtual cost is charged analytically either way, so event
-  /// order, outputs and ledgers are byte-identical for every value.
+  /// closures from distinct processes across N host cores. Like
+  /// use_fibers this must never change observable simulation behaviour —
+  /// the closure's virtual cost is charged analytically either way, so
+  /// event order, outputs and ledgers are byte-identical for every value.
   int compute_threads = 0;
-
-  static SimTuning Legacy() {
-    SimTuning tuning;
-    tuning.reuse_threads = false;
-    tuning.fast_handoff = false;
-    tuning.use_fibers = false;
-    return tuning;
-  }
 };
 
 /// A waitable, one-shot signal processes can block on (with timeout).
@@ -235,7 +204,7 @@ class Simulation {
 
   /// Fiber stacks mapped so far (diagnostic). Reaped fibers return their
   /// stack to a pool, so this is the peak number of concurrently started
-  /// fibers, not the number of processes; always 0 on the thread tiers.
+  /// fibers, not the number of processes; always 0 on the thread tier.
   uint64_t fiber_stacks_mapped() const { return fiber_stacks_mapped_; }
 
   /// Total events dispatched (diagnostic).
@@ -264,26 +233,17 @@ class Simulation {
   using FiberStack = std::unique_ptr<char, UnmapFiberStack>;
 #endif
 
-  /// One OS thread the kernel hands process bodies to. Fast path: bound to
-  /// a process at its first resume and returned to an idle pool when the
-  /// body finishes. Legacy path: created per process at AddProcess and
-  /// never reused. Only one of the two handoff mechanisms is in use per
-  /// Simulation (tuning().fast_handoff).
+  /// One pooled OS thread the thread tier hands process bodies to: bound
+  /// to a process at its first resume and returned to an idle pool when
+  /// the body finishes. The scheduler releases run_sem to transfer control
+  /// to the process; the process releases yield_sem to transfer it back.
+  /// The semaphore release/acquire pair carries the happens-before edge.
   struct Worker {
     std::thread thread;
-    size_t index = 0;  // slot in workers_ (lets a reap free the husk)
-    // Fast handoff: scheduler releases run_sem to transfer control to the
-    // process; the process releases yield_sem to transfer it back. The
-    // semaphore release/acquire pair carries the happens-before edge.
     std::binary_semaphore run_sem{0};
     std::binary_semaphore yield_sem{0};
-    // Legacy handoff: flag ping-pong under the mutex.
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool runnable = false;  // scheduler -> process handoff flag
-    bool yielded = true;    // process -> scheduler handoff flag
-    Process* proc = nullptr;  // bound process (fast path; null when idle)
-    bool shutdown = false;    // pool teardown flag (fast path)
+    Process* proc = nullptr;  // bound process (null when idle)
+    bool shutdown = false;    // pool teardown flag
   };
 
   struct Process {
@@ -367,15 +327,12 @@ class Simulation {
   void YieldToScheduler(Process* p);
   void WakeNow(uint64_t pid);
   void FinishProcess(Process* p);
-  /// Binds `p` to an idle (or new) pool worker — fast path, first resume.
+  /// Binds `p` to an idle (or new) pool worker at its first resume.
   void BindWorker(Process* p);
-  /// Worker-thread main loop (both thread models share it; the handshake
-  /// flavour and the reuse decision come from tuning_).
+  /// Pool worker main loop: run each bound process body, then go idle.
   void WorkerMain(Worker* w);
-  /// Process -> scheduler handoff half, callable from the worker thread.
-  void SignalYield(Worker* w);
-  /// Frees a finished process's slot (and joins + frees its dedicated
-  /// thread on the non-reuse tier). Called by the scheduler after resume.
+  /// Frees a finished process's slot (and its fiber stack, if any).
+  /// Called by the scheduler after resume.
   void ReapProcess(Process* p);
   /// Spawns the compute pool on the first pooled Offload.
   void EnsureOffloadPool();
@@ -396,7 +353,7 @@ class Simulation {
 
   SimTuning tuning_;
   /// Fiber tier actually in effect (tuning_.use_fibers gated on build
-  /// support); when false, the thread tiers below carry the handoffs.
+  /// support); when false, the pooled worker threads carry the handoffs.
   bool fibers_ = false;
 #if FSD_SIM_HAS_FIBERS
   ucontext_t sched_context_;  // where fibers yield back to
@@ -415,7 +372,7 @@ class Simulation {
   /// the null slot so a long trace replay holds only live ones.
   std::vector<std::unique_ptr<Process>> processes_;
   /// All worker threads ever created (joined at teardown); idle_workers_
-  /// is the reuse stack of the fast path.
+  /// is the reuse stack.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Worker*> idle_workers_;
   /// Pooled callback storage: `Event::target` indexes callback_slots_;

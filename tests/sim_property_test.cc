@@ -1,6 +1,6 @@
 // Property tests for the DES kernel: randomized schedules must replay
-// identically run-over-run AND across kernel tunings (the fast pooled
-// handshake vs the legacy thread-per-process path), and every run must
+// identically run-over-run AND across kernel tiers (fibers vs pooled
+// threads with a semaphore handoff), and every run must
 // uphold the kernel invariants — monotonic virtual time, no callback
 // after quiesce, every scheduled event either fires or is drained.
 #include <gtest/gtest.h>
@@ -167,17 +167,24 @@ TEST(SimProperty, ReplayIsDeterministicPerSeed) {
   }
 }
 
-TEST(SimProperty, FastAndLegacyTuningsOrderIdentically) {
-  // The tuning changes HOW processes are resumed (pooled semaphore
-  // handshake vs dedicated thread + mutex/cv), never WHAT order events
-  // fire in — the legacy kernel doubles as the oracle for the fast one.
+SimTuning ThreadTier() {
+  SimTuning tuning;
+  tuning.use_fibers = false;
+  return tuning;
+}
+
+TEST(SimProperty, FibersAndThreadsOrderIdentically) {
+  // The tier changes HOW processes are resumed (a fiber stack switch vs a
+  // pooled thread's semaphore handshake), never WHAT order events fire
+  // in — the thread tier doubles as the oracle for the fibers. Without
+  // fiber support both runs take the thread tier.
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     const Program program = MakeProgram(seed);
-    const RunResult fast = Execute(program, SimTuning{});
-    const RunResult legacy = Execute(program, SimTuning::Legacy());
-    ASSERT_EQ(fast.trace, legacy.trace) << "seed " << seed;
-    ASSERT_EQ(fast.end_time, legacy.end_time) << "seed " << seed;
-    ASSERT_EQ(fast.events_dispatched, legacy.events_dispatched)
+    const RunResult fibers = Execute(program, SimTuning{});
+    const RunResult threads = Execute(program, ThreadTier());
+    ASSERT_EQ(fibers.trace, threads.trace) << "seed " << seed;
+    ASSERT_EQ(fibers.end_time, threads.end_time) << "seed " << seed;
+    ASSERT_EQ(fibers.events_dispatched, threads.events_dispatched)
         << "seed " << seed;
   }
 }
@@ -202,10 +209,10 @@ TEST(SimProperty, ComputePoolSizesTraceIdentically) {
       ASSERT_EQ(inline_run.events_dispatched, pooled.events_dispatched)
           << "seed " << seed << " pool " << pool;
     }
-    // The pool must also compose with the legacy thread-per-process path.
-    SimTuning legacy_pooled = SimTuning::Legacy();
-    legacy_pooled.compute_threads = 2;
-    ASSERT_EQ(inline_run.trace, Execute(program, legacy_pooled).trace)
+    // The pool must also compose with the pooled-thread kernel tier.
+    SimTuning threads_pooled = ThreadTier();
+    threads_pooled.compute_threads = 2;
+    ASSERT_EQ(inline_run.trace, Execute(program, threads_pooled).trace)
         << "seed " << seed;
   }
 }

@@ -5,6 +5,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,8 +15,27 @@
 namespace fsd::sim {
 namespace {
 
-TEST(Simulation, HoldAdvancesVirtualTimeOnly) {
-  Simulation sim;
+// Kernel, teardown, kill-path and offload tests run on both kernel tiers:
+// fibers (the default) and pooled threads with a semaphore handoff (the
+// fallback where fibers are compiled out, and the fibers' oracle). On a
+// build without fiber support both instances run the thread tier.
+class SimulationTier : public ::testing::TestWithParam<bool> {
+ protected:
+  SimTuning Tuning() const {
+    SimTuning tuning;
+    tuning.use_fibers = GetParam();
+    return tuning;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernel, SimulationTier, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "Fibers" : "Threads");
+    });
+
+TEST_P(SimulationTier, HoldAdvancesVirtualTimeOnly) {
+  Simulation sim(Tuning());
   double observed = -1.0;
   sim.AddProcess("p", [&]() {
     EXPECT_EQ(sim.Now(), 0.0);
@@ -28,8 +48,8 @@ TEST(Simulation, HoldAdvancesVirtualTimeOnly) {
   EXPECT_EQ(observed, 1.5);
 }
 
-TEST(Simulation, EventsOrderedByTimeThenSeq) {
-  Simulation sim;
+TEST_P(SimulationTier, EventsOrderedByTimeThenSeq) {
+  Simulation sim(Tuning());
   std::vector<int> order;
   sim.ScheduleCallback(2.0, [&] { order.push_back(3); });
   sim.ScheduleCallback(1.0, [&] { order.push_back(1); });
@@ -38,9 +58,9 @@ TEST(Simulation, EventsOrderedByTimeThenSeq) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Simulation, ProcessesInterleaveDeterministically) {
-  auto run_once = [] {
-    Simulation sim;
+TEST_P(SimulationTier, ProcessesInterleaveDeterministically) {
+  auto run_once = [this] {
+    Simulation sim(Tuning());
     std::vector<int> trace;
     sim.AddProcess("a", [&]() {
       trace.push_back(1);
@@ -61,8 +81,8 @@ TEST(Simulation, ProcessesInterleaveDeterministically) {
   EXPECT_EQ(t1, t2);
 }
 
-TEST(Simulation, SignalWakesWaiter) {
-  Simulation sim;
+TEST_P(SimulationTier, SignalWakesWaiter) {
+  Simulation sim(Tuning());
   auto signal = sim.MakeSignal();
   double woke_at = -1.0;
   sim.AddProcess("waiter", [&]() {
@@ -77,8 +97,8 @@ TEST(Simulation, SignalWakesWaiter) {
   EXPECT_EQ(woke_at, 5.0);
 }
 
-TEST(Simulation, SignalTimeoutExpires) {
-  Simulation sim;
+TEST_P(SimulationTier, SignalTimeoutExpires) {
+  Simulation sim(Tuning());
   auto signal = sim.MakeSignal();
   bool fired = true;
   double woke_at = -1.0;
@@ -91,8 +111,8 @@ TEST(Simulation, SignalTimeoutExpires) {
   EXPECT_EQ(woke_at, 2.0);
 }
 
-TEST(Simulation, TimedOutWaiterNotWokenByLaterFire) {
-  Simulation sim;
+TEST_P(SimulationTier, TimedOutWaiterNotWokenByLaterFire) {
+  Simulation sim(Tuning());
   auto signal = sim.MakeSignal();
   int wakes = 0;
   sim.AddProcess("waiter", [&]() {
@@ -110,8 +130,8 @@ TEST(Simulation, TimedOutWaiterNotWokenByLaterFire) {
   EXPECT_EQ(wakes, 2);
 }
 
-TEST(Simulation, FiredSignalReturnsImmediately) {
-  Simulation sim;
+TEST_P(SimulationTier, FiredSignalReturnsImmediately) {
+  Simulation sim(Tuning());
   auto signal = sim.MakeSignal();
   signal->Fire();
   double waited = -1.0;
@@ -123,8 +143,8 @@ TEST(Simulation, FiredSignalReturnsImmediately) {
   EXPECT_EQ(waited, 0.0);
 }
 
-TEST(Simulation, SpawnAndJoin) {
-  Simulation sim;
+TEST_P(SimulationTier, SpawnAndJoin) {
+  Simulation sim(Tuning());
   double child_done = -1.0, parent_done = -1.0;
   sim.AddProcess("parent", [&]() {
     ProcessHandle child = sim.Spawn("child", [&]() {
@@ -140,8 +160,8 @@ TEST(Simulation, SpawnAndJoin) {
   EXPECT_EQ(parent_done, 4.0);
 }
 
-TEST(Simulation, JoinFinishedProcessReturnsImmediately) {
-  Simulation sim;
+TEST_P(SimulationTier, JoinFinishedProcessReturnsImmediately) {
+  Simulation sim(Tuning());
   sim.AddProcess("parent", [&]() {
     ProcessHandle child = sim.Spawn("child", [] {});
     sim.Hold(10.0);
@@ -151,8 +171,8 @@ TEST(Simulation, JoinFinishedProcessReturnsImmediately) {
   sim.Run();
 }
 
-TEST(Simulation, RunUntilStopsEarlyAndResumes) {
-  Simulation sim;
+TEST_P(SimulationTier, RunUntilStopsEarlyAndResumes) {
+  Simulation sim(Tuning());
   int steps = 0;
   sim.AddProcess("p", [&]() {
     for (int i = 0; i < 5; ++i) {
@@ -168,17 +188,27 @@ TEST(Simulation, RunUntilStopsEarlyAndResumes) {
   EXPECT_EQ(sim.Now(), 5.0);
 }
 
-TEST(Simulation, StartDelayHonored) {
-  Simulation sim;
+TEST_P(SimulationTier, StartDelayHonored) {
+  Simulation sim(Tuning());
   double started = -1.0;
   sim.AddProcess("late", [&]() { started = sim.Now(); }, /*start=*/7.0);
   sim.Run();
   EXPECT_EQ(started, 7.0);
 }
 
-TEST(Simulation, ManyProcessesDeterministicEventCount) {
-  auto count_events = [] {
-    Simulation sim;
+TEST_P(SimulationTier, OnlyTheFiberTierMapsStacks) {
+  Simulation sim(Tuning());
+  for (int i = 0; i < 3; ++i) {
+    sim.AddProcess("p", [&sim]() { sim.Hold(1.0); });
+  }
+  sim.Run();
+  const bool fibers = FSD_SIM_HAS_FIBERS && GetParam();
+  EXPECT_EQ(sim.fiber_stacks_mapped(), fibers ? 3u : 0u);
+}
+
+TEST_P(SimulationTier, ManyProcessesDeterministicEventCount) {
+  auto count_events = [this] {
+    Simulation sim(Tuning());
     for (int i = 0; i < 50; ++i) {
       sim.AddProcess("w", [&sim]() {
         for (int k = 0; k < 20; ++k) sim.Hold(0.01);
@@ -192,11 +222,11 @@ TEST(Simulation, ManyProcessesDeterministicEventCount) {
   EXPECT_GE(e1, 50u * 20u);
 }
 
-TEST(Simulation, TeardownUnwindsBlockedProcesses) {
+TEST_P(SimulationTier, TeardownUnwindsBlockedProcesses) {
   // A process blocked on a never-fired signal must not hang destruction.
   auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
   {
-    Simulation sim;
+    Simulation sim(Tuning());
     *signal_holder = sim.MakeSignal();
     sim.AddProcess("stuck", [&sim, signal_holder]() {
       sim.WaitSignal(signal_holder->get());
@@ -207,12 +237,12 @@ TEST(Simulation, TeardownUnwindsBlockedProcesses) {
   SUCCEED();
 }
 
-TEST(Simulation, TeardownWithManyConcurrentLiveProcesses) {
+TEST_P(SimulationTier, TeardownWithManyConcurrentLiveProcesses) {
   // A serving workload aborting mid-flight leaves MANY processes blocked at
   // once — holds, signal waits, and join chains all unwinding together.
   auto signal_holder = std::make_shared<std::shared_ptr<SimSignal>>();
   {
-    Simulation sim;
+    Simulation sim(Tuning());
     *signal_holder = sim.MakeSignal();
     for (int i = 0; i < 8; ++i) {
       sim.AddProcess("holder", [&sim]() { sim.Hold(1e9); });
@@ -233,7 +263,7 @@ TEST(Simulation, TeardownWithManyConcurrentLiveProcesses) {
   SUCCEED();
 }
 
-TEST(Simulation, KillPathToleratesSimCallsFromUnwindingDestructors) {
+TEST_P(SimulationTier, KillPathToleratesSimCallsFromUnwindingDestructors) {
   // Destructors on a killed process's stack may re-enter the kernel (hold a
   // drain delay, fire a completion signal, schedule a cleanup callback,
   // spawn a reaper). During teardown these must be inert, not crash/hang.
@@ -251,7 +281,7 @@ TEST(Simulation, KillPathToleratesSimCallsFromUnwindingDestructors) {
   };
   auto done_holder = std::make_shared<std::shared_ptr<SimSignal>>();
   {
-    Simulation sim;
+    Simulation sim(Tuning());
     *done_holder = sim.MakeSignal();
     for (int i = 0; i < 4; ++i) {
       sim.AddProcess("guarded", [&sim, done_holder]() {
@@ -265,9 +295,9 @@ TEST(Simulation, KillPathToleratesSimCallsFromUnwindingDestructors) {
   SUCCEED();
 }
 
-TEST(Simulation, OffloadChargesVirtualTimeAndRunsClosure) {
+TEST_P(SimulationTier, OffloadChargesVirtualTimeAndRunsClosure) {
   for (const int pool : {0, 1, 2}) {
-    SimTuning tuning;
+    SimTuning tuning = Tuning();
     tuning.compute_threads = pool;
     Simulation sim(tuning);
     int ran = 0;
@@ -283,8 +313,8 @@ TEST(Simulation, OffloadChargesVirtualTimeAndRunsClosure) {
   }
 }
 
-TEST(Simulation, OffloadNullClosureIsAPlainHold) {
-  SimTuning tuning;
+TEST_P(SimulationTier, OffloadNullClosureIsAPlainHold) {
+  SimTuning tuning = Tuning();
   tuning.compute_threads = 2;
   Simulation sim(tuning);
   double after = -1.0;
@@ -298,10 +328,10 @@ TEST(Simulation, OffloadNullClosureIsAPlainHold) {
   EXPECT_EQ(sim.offload_stats().pool_runs, 0u);
 }
 
-TEST(Simulation, OffloadFromSchedulerContextRunsInline) {
+TEST_P(SimulationTier, OffloadFromSchedulerContextRunsInline) {
   // No submitting process (callback context): the closure must still run,
   // synchronously, so callers never need to special-case.
-  Simulation sim;
+  Simulation sim(Tuning());
   bool ran = false;
   sim.ScheduleCallback(1.0, [&]() {
     sim.Offload(5.0, [&]() { ran = true; });
@@ -311,9 +341,9 @@ TEST(Simulation, OffloadFromSchedulerContextRunsInline) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Simulation, OffloadStatsCountCallsAndPoolRuns) {
+TEST_P(SimulationTier, OffloadStatsCountCallsAndPoolRuns) {
   for (const int pool : {0, 3}) {
-    SimTuning tuning;
+    SimTuning tuning = Tuning();
     tuning.compute_threads = pool;
     Simulation sim(tuning);
     for (int p = 0; p < 4; ++p) {
@@ -329,11 +359,11 @@ TEST(Simulation, OffloadStatsCountCallsAndPoolRuns) {
   }
 }
 
-TEST(Simulation, OffloadByteIdenticalAcrossPoolSizes) {
+TEST_P(SimulationTier, OffloadByteIdenticalAcrossPoolSizes) {
   // A fleet of processes interleaving offloads, holds and signal traffic:
   // the (time, order, value) trace must match for every pool size.
-  auto run_once = [](int pool) {
-    SimTuning tuning;
+  auto run_once = [this](int pool) {
+    SimTuning tuning = Tuning();
     tuning.compute_threads = pool;
     Simulation sim(tuning);
     std::vector<std::pair<double, int>> trace;
@@ -360,13 +390,13 @@ TEST(Simulation, OffloadByteIdenticalAcrossPoolSizes) {
             run_once(static_cast<int>(std::thread::hardware_concurrency())));
 }
 
-TEST(Simulation, TeardownDrainsInFlightOffloadClosures) {
+TEST_P(SimulationTier, TeardownDrainsInFlightOffloadClosures) {
   // Destruction with a closure RUNNING on the pool: the drain must wait it
   // out (never free state under a live worker) and then unwind the blocked
   // submitter without deadlock.
   std::atomic<int> completed{0};
   {
-    SimTuning tuning;
+    SimTuning tuning = Tuning();
     tuning.compute_threads = 2;
     Simulation sim(tuning);
     for (int p = 0; p < 2; ++p) {
@@ -384,12 +414,12 @@ TEST(Simulation, TeardownDrainsInFlightOffloadClosures) {
   SUCCEED();
 }
 
-TEST(Simulation, TeardownDiscardsQueuedOffloadJobs) {
+TEST_P(SimulationTier, TeardownDiscardsQueuedOffloadJobs) {
   // More submitters than pool threads: at destruction some jobs are still
   // QUEUED (never started). They must be discarded, not run, and their
   // submitters unwound cleanly.
   {
-    SimTuning tuning;
+    SimTuning tuning = Tuning();
     tuning.compute_threads = 1;
     Simulation sim(tuning);
     for (int p = 0; p < 6; ++p) {
@@ -404,7 +434,7 @@ TEST(Simulation, TeardownDiscardsQueuedOffloadJobs) {
   SUCCEED();
 }
 
-TEST(Simulation, KillPathToleratesOffloadFromUnwindingDestructors) {
+TEST_P(SimulationTier, KillPathToleratesOffloadFromUnwindingDestructors) {
   // A destructor on a killed process's stack may call Offload (e.g. a
   // worker flushing a codec buffer). During teardown the closure must run
   // inline and return — inert, no pool, no hang.
@@ -417,7 +447,7 @@ TEST(Simulation, KillPathToleratesOffloadFromUnwindingDestructors) {
   };
   bool ran = false;
   {
-    SimTuning tuning;
+    SimTuning tuning = Tuning();
     tuning.compute_threads = 2;
     Simulation sim(tuning);
     sim.AddProcess("guarded", [&]() {
