@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include <sys/resource.h>
 
@@ -13,6 +14,7 @@
 #include "common/check.h"
 #include "common/strings.h"
 #include "core/serialization.h"
+#include "linalg/spmm.h"
 
 namespace fsd::bench {
 namespace {
@@ -224,6 +226,16 @@ Status DeserializeReference(const Bytes& data, Workload* workload) {
   return core::DecodeRows(wire, &workload->expected);
 }
 
+const char* CompilerVersion() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 }  // namespace
 
 ScaleConfig ScaleConfig::FromEnv() {
@@ -410,7 +422,15 @@ void WriteBenchJson(
                    static_cast<double>(usage.ru_maxrss) / 1024.0);
 
   out << "{\n  \"bench\": \"" << bench_name << "\",\n  \"scale\": \""
-      << scale << "\",\n  \"metrics\": {";
+      << scale << "\",\n";
+  // Host fingerprint, every value a JSON string so the regression gate's
+  // numeric-line parser matches none of them.
+  out << "  \"host\": {\n    \"cores\": \""
+      << std::thread::hardware_concurrency()
+      << "\",\n    \"forward_kernel\": \"" << linalg::LayerForwardKernelName()
+      << "\",\n    \"compiler\": \"" << CompilerVersion()
+      << "\",\n    \"sanitized\": \"" << (FSD_SANITIZED ? "true" : "false")
+      << "\"\n  },\n  \"metrics\": {";
   for (size_t i = 0; i < all.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    \"" << all[i].first << "\": ";
     if (std::isfinite(all[i].second)) {

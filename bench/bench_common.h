@@ -133,7 +133,9 @@ bool SerialFitsPaperScale(int32_t neurons);
 /// (typically p50/p95 latency, throughput, daily cost) plus the scale tier
 /// it ran at, so CI can archive the perf trajectory per commit. Every file
 /// also carries an informational `peak_rss_mb` key: the process's peak
-/// resident set so far, in MiB. No-op when the env var is unset.
+/// resident set so far, in MiB, and a top-level `host` object (cores,
+/// LayerForward kernel, compiler, sanitizer) whose values are all strings.
+/// No-op when the env var is unset.
 /// Non-finite values are emitted as null.
 void WriteBenchJson(
     const std::string& bench_name,

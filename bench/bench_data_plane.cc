@@ -9,6 +9,7 @@
 //   - the cost model's prediction-from-metrics reconciles against the
 //     billing ledger to <0.1% for every codec, quantized included
 //   - per-chunk quantization error stays within codec::QuantRelErrorBound
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +24,11 @@ using namespace fsd;
 using bench::ScaleConfig;
 
 namespace {
+
+/// Floors for the best-of-k encode timing behind
+/// quant8_encode_bytes_per_sec.
+constexpr int kMinEncodes = 5;
+constexpr double kMinTimedEncodeS = 0.25;
 
 struct CodecPoint {
   const char* name;
@@ -196,24 +202,49 @@ int main() {
   json.emplace_back("quant8_net_saving_dollars", lz_dollars - quant8_dollars);
 
   // Wall-clock encode throughput of the quantized codec on this workload's
-  // input rows — the gated *_bytes_per_sec key (smaller is worse).
+  // input rows — the gated *_bytes_per_sec key (smaller is worse). Best of
+  // k: one encode at tiny scale takes about a millisecond, so repeat until
+  // both floors are met and report the fastest encode; every repetition
+  // must reproduce the first one's chunks byte for byte.
   std::vector<int32_t> ids;
   for (const auto& [id, vec] : workload.input) ids.push_back(id);
-  int64_t raw_bytes = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const int encode_iters = scale.tiny ? 4 : 16;
-  for (int it = 0; it < encode_iters; ++it) {
-    core::EncodeResult encoded = core::EncodeRows(
-        workload.input, ids, 224 * 1024, core::QuantCodec(8));
-    for (const auto& chunk : encoded.chunks) raw_bytes += chunk.raw_bytes;
+  auto timed_encode = [&](core::EncodeResult* encoded) {
+    const auto start = std::chrono::steady_clock::now();
+    *encoded = core::EncodeRows(workload.input, ids, 224 * 1024,
+                                core::QuantCodec(8));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  core::EncodeResult first;
+  double best_encode_s = timed_encode(&first);
+  double timed_s = best_encode_s;
+  int encodes = 1;
+  while (encodes < kMinEncodes || timed_s < kMinTimedEncodeS) {
+    core::EncodeResult again;
+    const double encode_s = timed_encode(&again);
+    bool same = again.chunks.size() == first.chunks.size();
+    for (size_t c = 0; same && c < first.chunks.size(); ++c) {
+      same = again.chunks[c].wire == first.chunks[c].wire &&
+             again.chunks[c].raw_bytes == first.chunks[c].raw_bytes;
+    }
+    if (!same) {
+      std::fprintf(stderr, "FAIL: quantized encode %d is not deterministic\n",
+                   encodes + 1);
+      return 1;
+    }
+    best_encode_s = std::min(best_encode_s, encode_s);
+    timed_s += encode_s;
+    ++encodes;
   }
-  const double encode_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::printf("quantized encode throughput: %.1f MB/s\n",
-              raw_bytes / std::max(1e-9, encode_s) / 1e6);
-  json.emplace_back("quant8_encode_bytes_per_sec",
-                    raw_bytes / std::max(1e-9, encode_s));
+  uint64_t raw_bytes = 0;
+  for (const auto& chunk : first.chunks) raw_bytes += chunk.raw_bytes;
+  const double encode_bytes_per_sec =
+      static_cast<double>(raw_bytes) / std::max(1e-9, best_encode_s);
+  std::printf("quantized encode throughput: %.1f MB/s (best of %d encodes, "
+              "all byte-identical)\n",
+              encode_bytes_per_sec / 1e6, encodes);
+  json.emplace_back("quant8_encode_bytes_per_sec", encode_bytes_per_sec);
   bench::WriteBenchJson("data_plane", json);
   return 0;
 }

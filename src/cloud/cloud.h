@@ -63,6 +63,11 @@ class CloudEnv {
   P2pFabric& p2p() { return p2p_; }
   const LatencyConfig& latency() const { return config_.latency; }
   const ComputeModelConfig& compute() const { return config_.compute; }
+  /// Hands out this env's run, query and serving-instance ids (0, 1, 2,
+  /// ...). RunInference and ServingRuntime both draw from it, so resource
+  /// names never collide on a shared env; owned by the env, not the
+  /// process, so the same workload on a fresh env gets the same names.
+  uint64_t AllocateRunId() { return next_run_id_++; }
 
  private:
   sim::Simulation* sim_;
@@ -76,6 +81,7 @@ class CloudEnv {
   VmService vms_;
   KvStore kv_;
   P2pFabric p2p_;
+  uint64_t next_run_id_ = 0;
 };
 
 }  // namespace fsd::cloud

@@ -16,8 +16,8 @@ uint64_t Mix64(uint64_t x) {
 /// Independent of call order, so which pairs punch (and each pair's link
 /// quality) is a property of the configuration, not of scheduling. Keyed
 /// by the session's creation-index salt, never its name: scoped names
-/// embed a process-global run counter, and hashing them would hand
-/// otherwise-identical runs different punch patterns.
+/// embed the run id, and hashing them would hand otherwise-identical runs
+/// different punch patterns.
 double PairUniform(uint64_t session_salt, int32_t src, int32_t dst,
                    uint64_t salt) {
   uint64_t h = Mix64(session_salt + 0x632d70756e6368ull);

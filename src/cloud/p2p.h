@@ -78,7 +78,7 @@ class P2pFabric {
   /// index on this fabric, {src, dst}) — symmetric, independent of call
   /// order AND of the session's name, so reruns on a fresh CloudEnv
   /// replay the same punch pattern even though per-run channel scopes
-  /// embed a process-global run counter.
+  /// embed the run id.
   ConnectOutcome Connect(const std::string& session, int32_t src,
                          int32_t dst);
 
@@ -123,9 +123,9 @@ class P2pFabric {
   };
   struct Session {
     /// Per-session draw salt: the fabric-local creation index. Punch luck
-    /// must not derive from the session NAME — scoped names embed a
-    /// process-global run counter, which would make otherwise-identical
-    /// runs draw different punch patterns within one process.
+    /// must not derive from the session NAME — scoped names embed the
+    /// run id, which would make otherwise-identical runs draw different
+    /// punch patterns.
     uint64_t salt = 0;
     std::map<std::pair<int32_t, int32_t>, Link> links;
     std::map<std::string, Inbox> inboxes;

@@ -1,7 +1,6 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -11,8 +10,6 @@
 
 namespace fsd::core {
 namespace {
-
-std::atomic<uint64_t> g_run_counter{0};
 
 uint64_t MixHash(uint64_t h, uint64_t v) {
   return h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
@@ -131,8 +128,6 @@ BillingDelta DiffLedger(const std::vector<cloud::BillingLine>& before,
   }
   return delta;
 }
-
-uint64_t AllocateRunId() { return g_run_counter.fetch_add(1); }
 
 std::string DeriveCacheFamily(const InferenceRequest& request) {
   const FsdOptions& options = request.options;
@@ -371,7 +366,7 @@ InferenceReport CollectReport(RunState* state, double t0, double t1) {
 
 Result<InferenceReport> RunInference(cloud::CloudEnv* cloud,
                                      const InferenceRequest& request) {
-  const uint64_t run_id = AllocateRunId();
+  const uint64_t run_id = cloud->AllocateRunId();
   FSD_ASSIGN_OR_RETURN(std::unique_ptr<RunState> state,
                        PrepareRunState(cloud, request, run_id));
   RunState* raw_state = state.get();

@@ -67,10 +67,6 @@ Result<InferenceReport> RunInference(cloud::CloudEnv* cloud,
 /// (serving.h runs many requests as overlapping processes in one
 /// Simulation; these pieces keep the two paths byte-identical.)
 
-/// Allocates a process-unique run id. Both entry points draw from the same
-/// counter so resource names never collide on a shared CloudEnv.
-uint64_t AllocateRunId();
-
 /// The effective partition-cache family PrepareRunState stamps into
 /// RunState::cache_family: the request's model_family (or a fingerprint of
 /// the generator config) qualified with the partition-layout fingerprint.

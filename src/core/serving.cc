@@ -1,10 +1,10 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -15,8 +15,6 @@
 
 namespace fsd::core {
 namespace {
-
-std::atomic<uint64_t> g_instance_counter{0};
 
 /// Coalescing identity: two queries may share one worker tree only when a
 /// single RunState could serve both — same model and partition objects and
@@ -77,7 +75,7 @@ std::string BatchFamilyKey(const InferenceRequest& request) {
 ServingRuntime::ServingRuntime(cloud::CloudEnv* cloud, ServingOptions options)
     : cloud_(cloud),
       options_(std::move(options)),
-      instance_id_(g_instance_counter.fetch_add(1)),
+      instance_id_(cloud->AllocateRunId()),
       gate_(options_.max_concurrent_runs) {
   // Materialize the pipeline stages: injected policies win, otherwise the
   // knobs select a built-in. With admission off the admission stage is a
@@ -135,7 +133,7 @@ Result<std::string> ServingRuntime::EnsureWorkerFunction(
                               ? options.partition_cache_budget_bytes
                               : 0))
           : StrFormat("w-q%llu", static_cast<unsigned long long>(
-                                     AllocateRunId()));
+                                     cloud_->AllocateRunId()));
   auto it = function_groups_.find(group);
   if (it != function_groups_.end()) return it->second;
 
@@ -180,7 +178,7 @@ Result<std::string> ServingRuntime::EnsureCoordinatorFunction(
       options_.share_functions
           ? StrFormat("c-m%d", options.coordinator_memory_mb)
           : StrFormat("c-q%llu", static_cast<unsigned long long>(
-                                     AllocateRunId()));
+                                     cloud_->AllocateRunId()));
   auto it = function_groups_.find(group);
   if (it != function_groups_.end()) return it->second;
 
@@ -485,7 +483,7 @@ void ServingRuntime::LaunchRun(const std::vector<uint64_t>& member_ids) {
                 QueryDisposition::kAborted);
   }
   if (live.empty()) return;
-  Result<Run*> run = BuildRun(AllocateRunId(), live);
+  Result<Run*> run = BuildRun(cloud_->AllocateRunId(), live);
   if (!run.ok()) {
     FailQueries(live, run.status(), QueryDisposition::kFailed);
     return;
@@ -783,7 +781,7 @@ void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
     task.partition_id = partition_id;
     task.share_bytes =
         request.partition->WeightShareBytes(*request.dnn, partition_id);
-    const uint64_t task_id = AllocateRunId();
+    const uint64_t task_id = cloud_->AllocateRunId();
     prewarm_tasks_.emplace(task_id, std::move(task));
     const cloud::FaasService::InvokeOutcome outcome = cloud_->faas().InvokeAsync(
         *worker_fn, EncodeWorkerPayload(task_id, partition_id));
@@ -931,7 +929,7 @@ Result<uint64_t> ServingRuntime::Submit(const InferenceRequest& request,
   // (not mid-window), and run construction may then read batch shapes
   // (RequestSampleCols) before PrepareRunState re-validates.
   FSD_RETURN_IF_ERROR(ValidateInferenceRequest(request));
-  const uint64_t query_id = AllocateRunId();
+  const uint64_t query_id = cloud_->AllocateRunId();
 
   auto query = std::make_unique<Query>();
   query->request = request;
@@ -1010,7 +1008,12 @@ Result<ServingReport> ServingRuntime::Drain(double run_until) {
           "query still in flight when Drain() stopped");
       query->outcome.disposition = QueryDisposition::kInFlight;
     }
+    // Outputs are handed over once: move them into the report and copy
+    // the rest, so later reports carry this outcome with outputs empty.
+    std::vector<linalg::ActivationMap> outputs =
+        std::exchange(query->outcome.report.outputs, {});
     report.queries.push_back(query->outcome);
+    report.queries.back().report.outputs = std::move(outputs);
     FleetStats::QuerySample sample;
     sample.arrival_s = query->outcome.arrival_s;
     sample.finish_s = query->outcome.finish_s;

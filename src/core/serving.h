@@ -185,7 +185,9 @@ struct QueryOutcome {
   /// Whether a completed query finished by its deadline (true when it
   /// carried none); meaningless for other dispositions.
   bool deadline_met = true;
-  InferenceReport report;  ///< latency_s measured from submission
+  /// latency_s measured from submission; `report.outputs` is handed over
+  /// once (see ServingRuntime::Drain).
+  InferenceReport report;
 };
 
 struct ServingReport {
@@ -223,7 +225,12 @@ class ServingRuntime {
   /// queries a previous horizon cut off). May be called repeatedly; the
   /// report covers all queries submitted so far, `billing` is the ledger
   /// delta since the previous call, and fleet dollar figures accumulate
-  /// across calls.
+  /// across calls. Each finished query's outputs are MOVED into the first
+  /// report that shows it finished; every later report repeats its
+  /// disposition, latency, deadline flag and metrics (so `fleet` still
+  /// spans all queries) with `report.outputs` empty. Queries still in
+  /// flight have no outputs yet and deliver them when a later Drain()
+  /// sees them finish.
   Result<ServingReport> Drain();
   Result<ServingReport> Drain(double run_until);
 
@@ -386,7 +393,9 @@ class ServingRuntime {
 
   cloud::CloudEnv* cloud_;
   ServingOptions options_;
-  uint64_t instance_id_ = 0;  ///< uniques function names on a shared cloud
+  /// Uniques function names on a shared cloud; drawn from the env's run
+  /// id counter, so it too is independent of process history.
+  uint64_t instance_id_ = 0;
   std::map<uint64_t, std::unique_ptr<Query>> queries_;  ///< by query id
   std::map<uint64_t, std::unique_ptr<Run>> runs_;       ///< by run id
   std::vector<uint64_t> submission_order_;

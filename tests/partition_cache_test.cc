@@ -155,7 +155,7 @@ std::string CacheFamilyFor(const model::SparseDnn& dnn,
   request.batches = {&input};
   request.options = base;
   request.options.num_workers = partition.num_parts;
-  auto state = PrepareRunState(&cloud, request, AllocateRunId());
+  auto state = PrepareRunState(&cloud, request, cloud.AllocateRunId());
   EXPECT_TRUE(state.ok()) << state.status().ToString();
   return (*state)->cache_family;
 }

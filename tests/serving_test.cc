@@ -303,6 +303,86 @@ TEST(Serving, ResumedDrainCompletesCutOffQueries) {
   EXPECT_GE(resumed->fleet.total_cost, resumed->billing.total_cost);
 }
 
+TEST(Serving, OutputsAreHandedOverByTheFirstDrainOnly) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kQueue, kWorkers);
+
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingRuntime serving(&cloud);
+  for (int q = 0; q < 3; ++q) {
+    ASSERT_TRUE(serving.Submit(request, 0.05 * q).ok());
+  }
+  auto first = serving.Drain();
+  ASSERT_TRUE(first.ok());
+  for (const QueryOutcome& outcome : first->queries) {
+    ASSERT_TRUE(outcome.report.status.ok())
+        << outcome.report.status.ToString();
+    ASSERT_EQ(outcome.report.outputs.size(), 1u);
+    EXPECT_EQ(outcome.report.outputs[0], w.expected);
+  }
+
+  // A second Drain repeats every outcome but hands no outputs over twice.
+  auto second = serving.Drain();
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->queries.size(), first->queries.size());
+  for (size_t i = 0; i < first->queries.size(); ++i) {
+    const QueryOutcome& a = first->queries[i];
+    const QueryOutcome& b = second->queries[i];
+    EXPECT_EQ(b.query_id, a.query_id);
+    EXPECT_EQ(b.disposition, a.disposition);
+    EXPECT_EQ(b.finish_s, a.finish_s);
+    EXPECT_EQ(b.queue_wait_s, a.queue_wait_s);
+    EXPECT_EQ(b.deadline_met, a.deadline_met);
+    EXPECT_EQ(b.report.latency_s, a.report.latency_s);
+    EXPECT_EQ(b.report.metrics.Summary(), a.report.metrics.Summary());
+    EXPECT_TRUE(b.report.outputs.empty());
+  }
+  EXPECT_EQ(second->fleet.Summary(), first->fleet.Summary());
+  EXPECT_EQ(second->fleet.total_cost, first->fleet.total_cost);
+  EXPECT_EQ(second->billing.total_cost, 0.0);
+}
+
+TEST(Serving, FreshCloudEnvsAllocateTheSameRunIds) {
+  // Run ids come from the CloudEnv, not the process: the same workload on
+  // a fresh env gets the same ids and channel scopes however many runs the
+  // process served before it.
+  constexpr int32_t kWorkers = 2;
+  Workload w = MakeWorkload(128, 4, 8, kWorkers);
+  InferenceRequest request = MakeRequest(w, Variant::kQueue, kWorkers);
+  struct Names {
+    std::string scope;
+    std::vector<uint64_t> ids;
+  };
+  auto names_on_fresh_env = [&]() {
+    sim::Simulation sim;
+    cloud::CloudEnv cloud(&sim);
+    Names names;
+    auto state = PrepareRunState(&cloud, request, cloud.AllocateRunId());
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
+    names.scope = (*state)->options.channel_scope;
+    EXPECT_TRUE(RunInference(&cloud, request).ok());
+    ServingRuntime serving(&cloud);
+    for (int q = 0; q < 2; ++q) {
+      EXPECT_TRUE(serving.Submit(request, 0.05 * q).ok());
+    }
+    auto report = serving.Drain();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    for (const QueryOutcome& outcome : report->queries) {
+      EXPECT_TRUE(outcome.report.status.ok());
+      names.ids.push_back(outcome.query_id);
+      names.ids.push_back(outcome.run_id);
+    }
+    return names;
+  };
+  const Names first = names_on_fresh_env();
+  const Names second = names_on_fresh_env();
+  EXPECT_EQ(first.scope, "r0-");
+  EXPECT_EQ(second.scope, first.scope);
+  EXPECT_EQ(second.ids, first.ids);
+}
+
 TEST(Serving, DestructSimulationWithLiveServingQueries) {
   // Cutting a serving workload off mid-flight leaves many concurrent
   // in-flight queries; destructing the Simulation must unwind them all.
