@@ -10,9 +10,11 @@
 //    peers over the NAT-punched fabric (KV relay on punch failure),
 //    multicast down a binomial tree -> object-storage reads collapse to
 //    ~1 per share;
-//  - the serving pipeline's EWMA arrival-rate estimate pre-warms instances
-//    at the burst onset (invoke + share-load ahead of the queue), bounded
-//    by a dollar budget fed from the cost model.
+//  - the serving pipeline's arrival-rate estimate (arrivals in the last
+//    est_run_s, over est_run_s) pre-warms instances at the burst onset
+//    (invoke + share-load ahead of the queue), bounded by a dollar budget
+//    that commits the cost model's estimate at fire and is trued up to the
+//    billed charge when each pre-warm lands.
 //
 // Asserted shapes:
 //  - byte-identical per-query outputs across both modes (the distributor
@@ -47,7 +49,8 @@ struct ModeResult {
   int64_t peer_loads = 0;
   int64_t prewarmed_hits = 0;
   int32_t prewarm_invocations = 0;
-  double prewarm_spent = 0.0;
+  double prewarm_spent = 0.0;      ///< billed (trued-up) pre-warm dollars
+  double prewarm_committed = 0.0;  ///< estimates committed at fire
   double cost_per_query = 0.0;
   double predicted_comm = 0.0;  ///< per-query predictions + pre-warm mirrors
   double ledger_comm = 0.0;
@@ -112,6 +115,7 @@ ModeResult RunMode(const bench::Workload& workload,
   result.prewarmed_hits = report->fleet.prewarmed_hits;
   result.prewarm_invocations = report->fleet.prewarm_invocations;
   result.prewarm_spent = report->fleet.prewarm_budget_spent;
+  result.prewarm_committed = report->fleet.prewarm_committed_dollars;
   result.cost_per_query = report->fleet.cost_per_query;
   return result;
 }
@@ -122,7 +126,7 @@ int main() {
   const ScaleConfig scale = ScaleConfig::FromEnv();
   // Wide model, small per-query batches: each worker tree's cost and
   // latency are dominated by its P cold share loads — the flash-crowd
-  // regime. P=4 trees, a short trickle that seeds the EWMA estimators,
+  // regime. P=4 trees, a short trickle that seeds the live estimators,
   // then the 0 -> N qps step.
   const int32_t neurons = scale.NeuronsOr(65536);
   const int32_t workers = 4;
@@ -141,7 +145,7 @@ int main() {
       "peer share distribution + predictive pre-warm vs storage-only cold "
       "path, identical trace");
 
-  std::vector<double> arrivals = {0.0, 2.0, 4.0};  // EWMA-seeding trickle
+  std::vector<double> arrivals = {0.0, 2.0, 4.0};  // estimator-seeding trickle
   for (int32_t q = 0; q < burst_queries; ++q) {
     arrivals.push_back(burst_at_s + static_cast<double>(q) / burst_qps);
   }
@@ -181,10 +185,10 @@ int main() {
       static_cast<long long>(fast.storage_loads), base.cold_ratio,
       fast.cold_ratio, base.p95_s, fast.p95_s);
   std::printf(
-      "pre-warm: %d invocations, $%.6f committed of $%.2f budget, "
-      "%lld pre-warmed hits\n",
-      fast.prewarm_invocations, fast.prewarm_spent, budget_dollars,
-      static_cast<long long>(fast.prewarmed_hits));
+      "pre-warm: %d invocations, $%.6f billed ($%.6f committed at fire) "
+      "of $%.2f budget, %lld pre-warmed hits\n",
+      fast.prewarm_invocations, fast.prewarm_spent, fast.prewarm_committed,
+      budget_dollars, static_cast<long long>(fast.prewarmed_hits));
   std::printf(
       "cost-model reconciliation (per-query comm predictions + pre-warm "
       "mirrors vs ledger): fast rel.err %.4f%%, baseline %.4f%%\n",
@@ -207,6 +211,7 @@ int main() {
        {"fast_prewarm_invocations",
         static_cast<double>(fast.prewarm_invocations)},
        {"fast_prewarm_budget_spent", fast.prewarm_spent},
+       {"fast_prewarm_committed_dollars", fast.prewarm_committed},
        {"fast_cost_per_query", fast.cost_per_query},
        {"comm_prediction_rel_err_fast", rel_err_fast},
        {"comm_prediction_rel_err_base", rel_err_base}});

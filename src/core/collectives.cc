@@ -148,14 +148,6 @@ Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
   return Status::InvalidArgument("unknown collective topology");
 }
 
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     int32_t phase, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root) {
-  return Reduce(channel, env, CollectiveTopology::kThroughRoot,
-                PhaseBlock{phase, 1}, num_workers, mine, root);
-}
-
 Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
                                         CollectiveTopology topology,
                                         PhaseBlock block, int32_t num_workers,
@@ -228,22 +220,14 @@ Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
   return Status::InvalidArgument("unknown collective topology");
 }
 
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        int32_t phase, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root) {
-  return Broadcast(channel, env, CollectiveTopology::kThroughRoot,
-                   PhaseBlock{phase, 1}, num_workers, rows, root);
-}
-
 Status Barrier(CommChannel* channel, WorkerEnv* env,
                CollectiveTopology topology, PhaseBlock arrive,
                PhaseBlock release, int32_t num_workers, int32_t root) {
   if (num_workers <= 1) return Status::OK();
   // Gather-up with empty payloads (markers only), then release-down: both
   // legs reuse the data collectives, so the barrier inherits whatever
-  // topology the caller selected — and through-root reproduces the legacy
-  // arrive-at-root / release-from-root traffic exactly.
+  // topology the caller selected (through-root: arrive at the root, then
+  // release from it).
   static const linalg::ActivationMap kEmpty;
   FSD_RETURN_IF_ERROR(
       Reduce(channel, env, topology, arrive, num_workers, kEmpty, root)
@@ -251,13 +235,6 @@ Status Barrier(CommChannel* channel, WorkerEnv* env,
   return Broadcast(channel, env, topology, release, num_workers, kEmpty,
                    root)
       .status();
-}
-
-Status Barrier(CommChannel* channel, WorkerEnv* env, int32_t phase,
-               int32_t num_workers, int32_t root) {
-  return Barrier(channel, env, CollectiveTopology::kThroughRoot,
-                 PhaseBlock{phase, 1}, PhaseBlock{phase + 1, 1}, num_workers,
-                 root);
 }
 
 }  // namespace fsd::core

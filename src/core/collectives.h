@@ -13,7 +13,7 @@
 // row-set union into an ordered map, so merge order is immaterial — but
 // multi-round topologies need one phase id PER ROUND: callers hand each
 // operation a PhaseBlock reserved by the PhaseAllocator (see channel.h).
-// The phase-only overloads keep the legacy through-root behaviour.
+// A through-root operation needs a one-phase block: PhaseBlock{phase, 1}.
 #ifndef FSD_CORE_COLLECTIVES_H_
 #define FSD_CORE_COLLECTIVES_H_
 
@@ -37,10 +37,6 @@ Status Barrier(CommChannel* channel, WorkerEnv* env,
                CollectiveTopology topology, PhaseBlock arrive,
                PhaseBlock release, int32_t num_workers, int32_t root = 0);
 
-/// Legacy through-root overload. Consumes phases [phase, phase+1].
-Status Barrier(CommChannel* channel, WorkerEnv* env, int32_t phase,
-               int32_t num_workers, int32_t root = 0);
-
 /// Gathers every worker's rows at the root over the selected topology;
 /// row sets are disjoint under the row-wise decomposition, so the union is
 /// the reduction (the paper's reduce(P0, x^L_m)) and every topology yields
@@ -51,23 +47,11 @@ Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
                                      const linalg::ActivationMap& mine,
                                      int32_t root = 0);
 
-/// Legacy through-root overload (consumes exactly `phase`).
-Result<linalg::ActivationMap> Reduce(CommChannel* channel, WorkerEnv* env,
-                                     int32_t phase, int32_t num_workers,
-                                     const linalg::ActivationMap& mine,
-                                     int32_t root = 0);
-
 /// Broadcasts the root's rows to every worker (MPI_Bcast analogue) over
 /// the selected topology.
 Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
                                         CollectiveTopology topology,
                                         PhaseBlock block, int32_t num_workers,
-                                        const linalg::ActivationMap& rows,
-                                        int32_t root = 0);
-
-/// Legacy through-root overload (consumes exactly `phase`).
-Result<linalg::ActivationMap> Broadcast(CommChannel* channel, WorkerEnv* env,
-                                        int32_t phase, int32_t num_workers,
                                         const linalg::ActivationMap& rows,
                                         int32_t root = 0);
 

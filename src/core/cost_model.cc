@@ -139,6 +139,22 @@ ShareTransferEstimate EstimateShareTransfer(
   return est;
 }
 
+PrewarmLoadPlan PlanPrewarmLoad(const cloud::PricingConfig& pricing,
+                                const cloud::LatencyConfig& latency,
+                                const cloud::ComputeModelConfig& compute,
+                                uint64_t share_bytes,
+                                uint64_t relay_chunk_bytes, int32_t memory_mb,
+                                bool peer_enabled) {
+  const ShareTransferEstimate xfer = EstimateShareTransfer(
+      pricing, latency, compute, share_bytes, relay_chunk_bytes);
+  PrewarmLoadPlan plan;
+  plan.peer = peer_enabled && xfer.peer_cheaper;
+  const double load_s = plan.peer ? xfer.peer_load_s : xfer.storage_load_s;
+  const double load_cost = plan.peer ? xfer.peer_cost : xfer.storage_cost;
+  plan.cost = FaasCost(pricing, 1, load_s, memory_mb) + load_cost;
+  return plan;
+}
+
 namespace {
 
 /// Adds the model-share load terms to a variant's IPC breakdown: the share

@@ -99,6 +99,24 @@ ShareTransferEstimate EstimateShareTransfer(
     const cloud::ComputeModelConfig& compute, uint64_t share_bytes,
     uint64_t relay_chunk_bytes);
 
+/// One pre-warm instance's share load, planned once: the path it takes
+/// (peer only when `peer_enabled` and EstimateShareTransfer prices it
+/// cheaper) and its expected charge — one invocation billed for the load's
+/// seconds at `memory_mb`, plus the path's own dollars. The pre-warm loop
+/// commits `cost` against its budget and the load follows `peer`, so the
+/// budget is never charged for a path the load does not take.
+struct PrewarmLoadPlan {
+  bool peer = false;
+  double cost = 0.0;
+};
+
+PrewarmLoadPlan PlanPrewarmLoad(const cloud::PricingConfig& pricing,
+                                const cloud::LatencyConfig& latency,
+                                const cloud::ComputeModelConfig& compute,
+                                uint64_t share_bytes,
+                                uint64_t relay_chunk_bytes, int32_t memory_mb,
+                                bool peer_enabled);
+
 /// Predicts the run's cost from its measured metrics (the §VI-F validation
 /// path: fine-grained counters -> predicted dollars). Includes the
 /// cache-aware model-read term: the multipart GETs each worker issued for

@@ -408,7 +408,11 @@ struct FleetStats {
   int64_t prewarm_peer_bytes = 0;
   int64_t prewarm_relay_requests = 0;
   int64_t prewarm_relay_bytes = 0;
-  double prewarm_budget_spent = 0.0;     ///< policy's committed estimate ($)
+  /// Dollars charged against the pre-warm budget: the billed charge of
+  /// every landed pre-warm (invocation, MB-seconds, GETs, transfers) plus
+  /// the committed estimate of any still in flight.
+  double prewarm_budget_spent = 0.0;
+  double prewarm_committed_dollars = 0.0;  ///< estimates committed at fire
 
   // Dollars (filled from the workload's billing-ledger delta).
   double total_cost = 0.0;

@@ -243,7 +243,7 @@ class RatePreWarmPolicy final : public PreWarmPolicy {
     PrewarmDecision decision;
     // No measured signal, no spend: an unseeded rate or run-time estimate
     // (or a degenerate tree size) would turn the demand formula into
-    // noise, so the policy stays idle until both EWMAs carry data.
+    // noise, so the policy stays idle until both estimates carry data.
     if (s.arrival_rate_qps <= 0.0 || !std::isfinite(s.arrival_rate_qps) ||
         s.est_run_s <= 0.0 || !std::isfinite(s.est_run_s) ||
         s.workers_per_run <= 0) {

@@ -145,24 +145,27 @@ class BatchPolicy {
 };
 
 /// What the pre-warm policy sees at one arrival of a model family: the
-/// family's live demand estimate (EWMA arrival rate x per-tree service
-/// time, in instances via Little's law), the warm supply already standing,
-/// and the dollars the policy may still commit. Pure inputs — the serving
-/// runtime assembles them from its EWMAs, the FaaS warm pool and the cost
-/// model's share-transfer break-even estimate.
+/// family's live demand estimate (arrival rate x per-tree service time,
+/// in instances via Little's law), the warm supply already standing, and
+/// the dollars the policy may still commit. Pure inputs — the serving
+/// runtime assembles them from its arrival window, its run-time EWMA, the
+/// FaaS warm pool and the cost model's PlanPrewarmLoad estimate.
 struct PrewarmSnapshot {
   double now_s = 0.0;
-  double arrival_rate_qps = 0.0;  ///< family EWMA of observed arrivals
+  /// The family's arrivals in (now_s - est_run_s, now_s], divided by
+  /// est_run_s; 0 until the family's second arrival.
+  double arrival_rate_qps = 0.0;
   double est_run_s = 0.0;         ///< per-tree execution-time estimate
   int32_t workers_per_run = 0;    ///< P — instances one tree occupies
   int32_t warm_instances = 0;     ///< idle warm pool of the worker function
   int32_t in_flight_runs = 0;     ///< trees currently executing
   int32_t pending_prewarms = 0;   ///< pre-warm invocations not yet landed
   /// Predicted dollars to pre-warm one instance (invocation + share load
-  /// down the cheaper of the storage / peer paths).
+  /// down the path the load will take: the cheaper of storage / peer).
   double est_cost_per_instance = 0.0;
-  /// Budget dollars not yet committed (committed = invocations fired x
-  /// their estimate); a policy must never plan past it.
+  /// Budget dollars not yet spent: the cap minus the billed charge of
+  /// landed pre-warms and the committed estimate of in-flight ones; a
+  /// policy must never plan past it.
   double budget_remaining = 0.0;
 };
 

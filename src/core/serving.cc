@@ -70,6 +70,24 @@ std::string BatchFamilyKey(const InferenceRequest& request) {
       bits(o.direct_poll_wait_s));
 }
 
+/// What the ledger bills one pre-warm invocation if it returns `more_s`
+/// from now: the invocation plus its MB-seconds, capped at the function
+/// timeout exactly as FaasService bills them, its `parts` share GETs, and
+/// the share transfers mirrored in `transfer`.
+double PrewarmCharge(const cloud::PricingConfig& pricing,
+                     const cloud::FaasContext* ctx, uint64_t parts,
+                     const WorkerMetrics& transfer, double more_s = 0.0) {
+  const double billed_s =
+      std::min(ctx->sim()->Now() + more_s, ctx->deadline()) -
+      ctx->started_at();
+  return FaasCost(pricing, 1, billed_s, ctx->memory_mb()) +
+         static_cast<double>(parts) * pricing.object_per_get +
+         ShareTransferCost(pricing, transfer.share_peer_connects,
+                           transfer.share_peer_bytes,
+                           transfer.share_relay_requests,
+                           transfer.share_relay_bytes);
+}
+
 }  // namespace
 
 ServingRuntime::ServingRuntime(cloud::CloudEnv* cloud, ServingOptions options)
@@ -695,26 +713,7 @@ void ServingRuntime::ObserveArrival(uint64_t query_id) {
     return;
   }
   Query* query = queries_.at(query_id).get();
-  FamilyRate& rate = family_rates_[BatchFamilyKey(query->request)];
-  const double now = cloud_->sim()->Now();
-  constexpr double kAlpha = 0.3;  // matches the run-time EWMAs
-  if (rate.last_arrival_s < 0.0) {
-    rate.last_arrival_s = now;
-    rate.coincident = 1;
-  } else if (now <= rate.last_arrival_s) {
-    // A burst peer at the same instant: no gap to turn into a rate yet;
-    // the whole burst enters the next gap's sample.
-    ++rate.coincident;
-  } else {
-    const double sample =
-        static_cast<double>(rate.coincident) / (now - rate.last_arrival_s);
-    rate.ewma_qps = rate.ewma_qps > 0.0
-                        ? rate.ewma_qps + kAlpha * (sample - rate.ewma_qps)
-                        : sample;
-    rate.last_arrival_s = now;
-    rate.coincident = 1;
-  }
-  MaybePrewarm(*query, &rate);
+  MaybePrewarm(*query, &family_rates_[BatchFamilyKey(query->request)]);
 }
 
 void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
@@ -723,6 +722,19 @@ void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
   // Without an instance cache a pre-warmed load could not outlive its
   // invocation — there is nothing to warm.
   if (cache_family.empty() || request.options.num_workers <= 0) return;
+
+  // Little's law measured directly: the arrivals of the last est_run_s
+  // seconds are the trees that would be in service now, so their count
+  // over est_run_s is the rate. One short gap cannot spike it the way a
+  // 1/gap sample does (E[1/gap] is unbounded for Poisson arrivals), and a
+  // lone arrival is no signal yet.
+  const double now = cloud_->sim()->Now();
+  const double est_run_s = EstRunSeconds(query);
+  rate->window_s.push_back(now);
+  ++rate->arrivals;
+  while (!rate->window_s.empty() && rate->window_s.front() <= now - est_run_s) {
+    rate->window_s.pop_front();
+  }
 
   // Pre-warm invocations must ride the SAME function group the family's
   // runs use (the whole point is seeding THEIR warm pool), so apply the
@@ -735,41 +747,41 @@ void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
   Result<std::string> worker_fn = EnsureWorkerFunction(options);
   if (!worker_fn.ok()) return;  // best-effort: never fails the query
 
-  const cloud::PricingConfig& pricing = cloud_->billing().pricing();
-  const uint64_t relay_chunk_bytes = ShareDistributor::Options().relay_chunk_bytes;
-  auto instance_cost = [&](int32_t partition_id) {
-    const uint64_t share_bytes =
-        request.partition->WeightShareBytes(*request.dnn, partition_id);
-    const ShareTransferEstimate xfer =
-        EstimateShareTransfer(pricing, cloud_->latency(), cloud_->compute(),
-                              share_bytes, relay_chunk_bytes);
-    const bool peer = options_.peer_share_transfer && xfer.peer_cheaper;
-    const double load_s = peer ? xfer.peer_load_s : xfer.storage_load_s;
-    const double load_cost = peer ? xfer.peer_cost : xfer.storage_cost;
-    return FaasCost(pricing, 1, load_s, options.worker_memory_mb) + load_cost;
+  auto plan_load = [&](int32_t partition_id) {
+    return PlanPrewarmLoad(
+        cloud_->billing().pricing(), cloud_->latency(), cloud_->compute(),
+        request.partition->WeightShareBytes(*request.dnn, partition_id),
+        ShareDistributor::Options().relay_chunk_bytes,
+        options.worker_memory_mb, options_.peer_share_transfer);
+  };
+  auto next_partition = [&] {
+    return static_cast<int32_t>(rate->next_partition %
+                                static_cast<uint64_t>(options.num_workers));
   };
 
   PrewarmSnapshot snapshot;
-  snapshot.now_s = cloud_->sim()->Now();
-  snapshot.arrival_rate_qps = rate->ewma_qps;
-  snapshot.est_run_s = EstRunSeconds(query);
+  snapshot.now_s = now;
+  snapshot.arrival_rate_qps =
+      rate->arrivals >= 2 && est_run_s > 0.0
+          ? static_cast<double>(rate->window_s.size()) / est_run_s
+          : 0.0;
+  snapshot.est_run_s = est_run_s;
   snapshot.workers_per_run = options.num_workers;
   snapshot.warm_instances = cloud_->faas().WarmCount(*worker_fn);
   snapshot.in_flight_runs = gate_.in_flight();
   snapshot.pending_prewarms = rate->pending_prewarms;
-  snapshot.est_cost_per_instance = instance_cost(static_cast<int32_t>(
-      rate->next_partition % static_cast<uint64_t>(options.num_workers)));
+  snapshot.est_cost_per_instance = plan_load(next_partition()).cost;
   snapshot.budget_remaining =
       options_.prewarm_budget_dollars - prewarm_budget_spent_;
   const PrewarmDecision decision = prewarm_->Decide(snapshot);
 
   for (int32_t i = 0; i < decision.instances; ++i) {
-    const int32_t partition_id = static_cast<int32_t>(
-        rate->next_partition % static_cast<uint64_t>(options.num_workers));
-    // The budget is a HARD cap on committed estimates, re-checked per
-    // instance (shares vary in size across partitions).
-    const double est_cost = instance_cost(partition_id);
-    if (prewarm_budget_spent_ + est_cost > options_.prewarm_budget_dollars) {
+    const int32_t partition_id = next_partition();
+    // The budget is a HARD cap, re-checked per instance (shares vary in
+    // size across partitions): the estimate is committed now and trued up
+    // to the billed charge when the invocation lands.
+    const PrewarmLoadPlan plan = plan_load(partition_id);
+    if (prewarm_budget_spent_ + plan.cost > options_.prewarm_budget_dollars) {
       break;
     }
     PrewarmTask task;
@@ -781,6 +793,8 @@ void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
     task.partition_id = partition_id;
     task.share_bytes =
         request.partition->WeightShareBytes(*request.dnn, partition_id);
+    task.peer = plan.peer;
+    task.committed = plan.cost;
     const uint64_t task_id = cloud_->AllocateRunId();
     prewarm_tasks_.emplace(task_id, std::move(task));
     const cloud::FaasService::InvokeOutcome outcome = cloud_->faas().InvokeAsync(
@@ -792,7 +806,8 @@ void ServingRuntime::MaybePrewarm(const Query& query, FamilyRate* rate) {
     ++rate->next_partition;
     ++rate->pending_prewarms;
     ++prewarm_invocations_;
-    prewarm_budget_spent_ += est_cost;
+    prewarm_budget_spent_ += plan.cost;
+    prewarm_committed_ += plan.cost;
   }
 }
 
@@ -810,72 +825,96 @@ void ServingRuntime::RunPrewarmTask(cloud::FaasContext* ctx,
     --rate->second.pending_prewarms;
   }
 
+  WorkerMetrics transfer;  // the peer/relay mirrors of this task's pulls
+  uint64_t parts = 0;      // GET parts this task billed
+  Status status = Status::OK();
   PartitionCache* cache = InstancePartitionCache(ctx, task.options);
-  if (cache == nullptr ||
-      cache->Contains(task.cache_family, task.partition_id,
-                      task.options.model_version)) {
-    // Landed on an instance that already holds the share (LIFO warm pool):
-    // the invocation still warmed an instance; nothing to load.
-    ctx->set_result(Status::OK());
-    return;
+  // Landing on an instance that already holds the share (LIFO warm pool)
+  // still warmed an instance; there is nothing to load.
+  if (cache != nullptr &&
+      !cache->Contains(task.cache_family, task.partition_id,
+                       task.options.model_version)) {
+    ShareDistributor* distributor =
+        options_.peer_share_transfer ? EnsureShareDistributor() : nullptr;
+    if (task.peer) {  // planned only with peer transfer on
+      // The plan priced the peer path: pull from a holder, or — with none
+      // left — read storage as the share's pending reader (Publish/Abandon
+      // resolve that read for the requesters queued behind it).
+      if (distributor->Acquire(ctx, task.options, task.cache_family,
+                               task.partition_id, task.share_bytes,
+                               &transfer, /*mark_prewarmed=*/true) ==
+          ShareDistributor::Source::kStorage) {
+        status = PrewarmStorageLoad(ctx, task, cache, transfer, &parts);
+        if (status.ok()) {
+          distributor->Publish(ctx, task.options, task.cache_family,
+                               task.partition_id);
+        } else {
+          distributor->Abandon(task.cache_family, task.partition_id,
+                               task.options.model_version);
+        }
+      }
+    } else {
+      status = PrewarmStorageLoad(ctx, task, cache, transfer, &parts);
+      // Storage was the cheaper path, but the loaded instance still serves
+      // later cold requesters by peer transfer.
+      if (status.ok() && distributor != nullptr) {
+        distributor->RegisterHolder(ctx, task.options, task.cache_family,
+                                    task.partition_id);
+      }
+    }
   }
 
-  WorkerMetrics scratch;
-  ShareDistributor* distributor =
-      options_.peer_share_transfer ? EnsureShareDistributor() : nullptr;
-  bool pending_publish = false;
-  bool resident = false;
-  if (distributor != nullptr) {
-    const ShareDistributor::Source source = distributor->Acquire(
-        ctx, task.options, task.cache_family, task.partition_id,
-        task.share_bytes, &scratch, /*mark_prewarmed=*/true);
-    if (source == ShareDistributor::Source::kPeer) {
-      resident = true;
-    } else {
-      pending_publish = true;
-    }
-  }
-  Status status = Status::OK();
-  if (!resident) {
-    // Same storage-read modeling as LoadModelShare: multipart GETs across
-    // the IO lanes plus deserialization CPU, billed at GET pricing.
-    const uint64_t parts = ModelReadGetParts(task.share_bytes);
-    cloud_->billing().Record(cloud::BillingDimension::kObjectGet,
-                             static_cast<double>(parts));
-    prewarm_storage_parts_ += static_cast<int64_t>(parts);
-    prewarm_storage_bytes_ += static_cast<int64_t>(task.share_bytes);
-    Rng rng(task.options.seed ^ 0x50524557ull ^
-            (0xA11Dull * (static_cast<uint64_t>(task.partition_id) + 1)));
-    std::vector<double> latencies;
-    uint64_t remaining = task.share_bytes;
-    for (uint64_t p = 0; p < parts; ++p) {
-      const uint64_t part = std::min<uint64_t>(kModelReadPartBytes, remaining);
-      remaining -= part;
-      latencies.push_back(cloud_->latency().object_get.Sample(&rng, part));
-    }
-    const double get_makespan =
-        sim::ParallelMakespan(latencies, task.options.io_lanes);
-    const double deser_s = static_cast<double>(task.share_bytes) /
-                           cloud_->compute().deserialize_bytes_per_s;
-    status = ctx->SleepFor(get_makespan + deser_s);
-    if (status.ok()) {
-      cache->Insert(task.cache_family, task.partition_id,
-                    task.options.model_version, task.share_bytes,
-                    /*prewarmed=*/true);
-      if (pending_publish) {
-        distributor->Publish(ctx, task.options, task.cache_family,
-                             task.partition_id);
-      }
-    } else if (pending_publish) {
-      distributor->Abandon(task.cache_family, task.partition_id,
-                           task.options.model_version);
-    }
-  }
-  prewarm_peer_connects_ += scratch.share_peer_connects;
-  prewarm_peer_bytes_ += scratch.share_peer_bytes;
-  prewarm_relay_requests_ += scratch.share_relay_requests;
-  prewarm_relay_bytes_ += scratch.share_relay_bytes;
+  // True-up: swap the estimate committed at fire for the charge the ledger
+  // bills this invocation, so the cap binds in billed dollars.
+  prewarm_budget_spent_ +=
+      PrewarmCharge(cloud_->billing().pricing(), ctx, parts, transfer) -
+      task.committed;
+  prewarm_storage_parts_ += static_cast<int64_t>(parts);
+  prewarm_peer_connects_ += transfer.share_peer_connects;
+  prewarm_peer_bytes_ += transfer.share_peer_bytes;
+  prewarm_relay_requests_ += transfer.share_relay_requests;
+  prewarm_relay_bytes_ += transfer.share_relay_bytes;
   ctx->set_result(status);
+}
+
+Status ServingRuntime::PrewarmStorageLoad(cloud::FaasContext* ctx,
+                                          const PrewarmTask& task,
+                                          PartitionCache* cache,
+                                          const WorkerMetrics& transfer,
+                                          uint64_t* parts) {
+  // Same storage-read modeling as LoadModelShare: multipart GETs across
+  // the IO lanes plus deserialization CPU, billed at GET pricing.
+  const uint64_t share_parts = ModelReadGetParts(task.share_bytes);
+  Rng rng(task.options.seed ^ 0x50524557ull ^
+          (0xA11Dull * (static_cast<uint64_t>(task.partition_id) + 1)));
+  std::vector<double> latencies;
+  uint64_t remaining = task.share_bytes;
+  for (uint64_t p = 0; p < share_parts; ++p) {
+    const uint64_t part = std::min<uint64_t>(kModelReadPartBytes, remaining);
+    remaining -= part;
+    latencies.push_back(cloud_->latency().object_get.Sample(&rng, part));
+  }
+  const double load_s =
+      sim::ParallelMakespan(latencies, task.options.io_lanes) +
+      static_cast<double>(task.share_bytes) /
+          cloud_->compute().deserialize_bytes_per_s;
+  // The read's charge is known before it is paid: skip a load that would
+  // bill past the cap (the estimate committed at fire may have been low).
+  const double charge = PrewarmCharge(cloud_->billing().pricing(), ctx,
+                                      share_parts, transfer, load_s);
+  if (prewarm_budget_spent_ - task.committed + charge >
+      options_.prewarm_budget_dollars) {
+    return Status::OK();
+  }
+  cloud_->billing().Record(cloud::BillingDimension::kObjectGet,
+                           static_cast<double>(share_parts));
+  *parts = share_parts;
+  prewarm_storage_bytes_ += static_cast<int64_t>(task.share_bytes);
+  FSD_RETURN_IF_ERROR(ctx->SleepFor(load_s));
+  cache->Insert(task.cache_family, task.partition_id,
+                task.options.model_version, task.share_bytes,
+                /*prewarmed=*/true);
+  return Status::OK();
 }
 
 void ServingRuntime::ArriveQuery(uint64_t query_id) {
@@ -1043,6 +1082,7 @@ Result<ServingReport> ServingRuntime::Drain(double run_until) {
   report.fleet.prewarm_relay_requests = prewarm_relay_requests_;
   report.fleet.prewarm_relay_bytes = prewarm_relay_bytes_;
   report.fleet.prewarm_budget_spent = prewarm_budget_spent_;
+  report.fleet.prewarm_committed_dollars = prewarm_committed_;
   report.fleet.Finalize();
   return report;
 }

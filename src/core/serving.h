@@ -58,6 +58,7 @@
 #define FSD_CORE_SERVING_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -148,13 +149,14 @@ struct ServingOptions {
   CollectiveTopology share_multicast_topology =
       CollectiveTopology::kBinomialTree;
   /// Predictively pre-warm worker instances (invoke + load shares) when a
-  /// family's EWMA arrival rate says the warm pool will not cover the
-  /// incoming demand — capacity stands up BEFORE the queue forms.
+  /// family's arrival rate (its arrivals in the last est_run_s, over
+  /// est_run_s) says the warm pool will not cover the incoming demand —
+  /// capacity stands up BEFORE the queue forms.
   bool predictive_prewarm = false;
-  /// Hard cap on the dollars the pre-warm loop may commit (its invocation
-  /// + share-load estimates accumulate against this; see
-  /// FleetStats::prewarm_budget_spent). <= 0 disables pre-warming even
-  /// with `predictive_prewarm` on.
+  /// Hard cap on the billed dollars of the pre-warm loop: each invocation
+  /// commits its estimate at fire and is trued up to its billed charge on
+  /// landing (see FleetStats::prewarm_budget_spent). <= 0 disables
+  /// pre-warming even with `predictive_prewarm` on.
   double prewarm_budget_dollars = 0.05;
   /// Custom pre-warm policy; null materializes MakeRatePreWarmPolicy.
   std::shared_ptr<PreWarmPolicy> prewarm_policy;
@@ -351,16 +353,17 @@ class ServingRuntime {
     const part::ModelPartition* partition = nullptr;
     int32_t partition_id = 0;
     uint64_t share_bytes = 0;
+    bool peer = false;       ///< PrewarmLoadPlan::peer: the path to load by
+    double committed = 0.0;  ///< estimate charged to the budget at fire
   };
 
   /// Per-family arrival bookkeeping feeding the pre-warm policy: the
-  /// arrival-rate EWMA (coincident arrivals of one burst batch into the
-  /// next gap's rate sample) and the round-robin partition cursor spreading
-  /// pre-warm loads across the family's P shares.
+  /// arrival times inside the last est_run_s (the windowed count the rate
+  /// is read from) and the round-robin partition cursor spreading pre-warm
+  /// loads across the family's P shares.
   struct FamilyRate {
-    double ewma_qps = 0.0;
-    double last_arrival_s = -1.0;
-    int32_t coincident = 0;        ///< arrivals seen at last_arrival_s
+    std::deque<double> window_s;   ///< recent arrival times, oldest first
+    int64_t arrivals = 0;          ///< arrivals ever observed
     uint64_t next_partition = 0;   ///< round-robin pre-warm share cursor
     int32_t pending_prewarms = 0;  ///< invocations fired, not yet landed
   };
@@ -368,15 +371,22 @@ class ServingRuntime {
   /// The distributor is created on first use (peer_share_transfer or a
   /// pre-warm with publication); scope-uniqued per runtime instance.
   ShareDistributor* EnsureShareDistributor();
-  /// Stage 0, ahead of admission: refreshes the query family's arrival
-  /// EWMA and lets the pre-warm policy stand up capacity for it.
+  /// Stage 0, ahead of admission: counts the arrival into its family's
+  /// rate window and lets the pre-warm policy stand up capacity for it.
   void ObserveArrival(uint64_t query_id);
   void MaybePrewarm(const Query& query, FamilyRate* rate);
   /// Handler body for one pre-warm invocation (dispatched by the shared
   /// worker handler when the payload names a pre-warm task, not a run):
   /// loads the task's share into this instance's cache marked pre-warmed,
-  /// preferring a peer transfer, and publishes the instance as a holder.
+  /// down the path its PrewarmLoadPlan chose, registers the instance as a
+  /// holder, and trues the budget up to the invocation's billed charge.
   void RunPrewarmTask(cloud::FaasContext* ctx, uint64_t task_id);
+  /// The storage read of a pre-warm load: skipped (OK, nothing loaded)
+  /// when its now-known charge would take the billed budget past the cap.
+  /// Sets `*parts` to the GET parts it billed.
+  Status PrewarmStorageLoad(cloud::FaasContext* ctx, const PrewarmTask& task,
+                            PartitionCache* cache,
+                            const WorkerMetrics& transfer, uint64_t* parts);
 
   /// Scheduler views/inputs: the queued set as plain SchedQuery structs,
   /// the live load snapshot for admission, the batcher's flush timeout,
@@ -430,7 +440,10 @@ class ServingRuntime {
   std::map<uint64_t, PrewarmTask> prewarm_tasks_;   ///< by task id
   /// Pre-warm aggregates surfaced through FleetStats (the loop runs
   /// outside any query's tree, so nothing here is query-attributed).
+  /// `prewarm_budget_spent_` holds the billed charge of every landed
+  /// pre-warm plus the committed estimate of every one still in flight.
   double prewarm_budget_spent_ = 0.0;
+  double prewarm_committed_ = 0.0;  ///< estimates committed at fire
   int32_t prewarm_invocations_ = 0;
   int64_t prewarm_storage_parts_ = 0;
   int64_t prewarm_storage_bytes_ = 0;

@@ -176,16 +176,7 @@ ShareDistributor::Source ShareDistributor::Acquire(
             if (!inserted.inserted) {
               ++metrics->cache_oversize_rejects;
             } else {
-              bool known = false;
-              for (const Holder& holder : entry.holders) {
-                known |= holder.instance_id == ctx->instance_id();
-              }
-              if (!known) {
-                entry.holders.push_back(
-                    Holder{ctx->instance_id(), NodeFor(ctx->instance_id()),
-                           std::static_pointer_cast<PartitionCache>(
-                               ctx->instance_state())});
-              }
+              AddHolder(ctx, key, &entry);
             }
           }
           ++metrics->share_loads_peer;
@@ -231,6 +222,22 @@ ShareDistributor::Source ShareDistributor::Acquire(
   }
 }
 
+void ShareDistributor::AddHolder(cloud::FaasContext* ctx,
+                                 const ShareKey& key, Entry* entry) {
+  if (torn_down_) return;
+  const auto cache =
+      std::static_pointer_cast<PartitionCache>(ctx->instance_state());
+  if (cache == nullptr ||
+      !cache->Contains(key.family, key.partition_id, key.version)) {
+    return;
+  }
+  for (const Holder& holder : entry->holders) {
+    if (holder.instance_id == ctx->instance_id()) return;
+  }
+  entry->holders.push_back(
+      Holder{ctx->instance_id(), NodeFor(ctx->instance_id()), cache});
+}
+
 void ShareDistributor::Publish(cloud::FaasContext* ctx,
                                const FsdOptions& options,
                                const std::string& family,
@@ -238,21 +245,17 @@ void ShareDistributor::Publish(cloud::FaasContext* ctx,
   const ShareKey key{family, partition_id, options.model_version};
   Entry& entry = entries_[key];
   if (entry.storage_readers > 0) --entry.storage_readers;
-  if (!torn_down_) {
-    const auto cache =
-        std::static_pointer_cast<PartitionCache>(ctx->instance_state());
-    if (cache != nullptr &&
-        cache->Contains(family, partition_id, key.version)) {
-      bool known = false;
-      for (const Holder& holder : entry.holders) {
-        known |= holder.instance_id == ctx->instance_id();
-      }
-      if (!known) {
-        entry.holders.push_back(
-            Holder{ctx->instance_id(), NodeFor(ctx->instance_id()), cache});
-      }
-    }
-  }
+  AddHolder(ctx, key, &entry);
+  FireChange(&entry);
+}
+
+void ShareDistributor::RegisterHolder(cloud::FaasContext* ctx,
+                                      const FsdOptions& options,
+                                      const std::string& family,
+                                      int32_t partition_id) {
+  const ShareKey key{family, partition_id, options.model_version};
+  Entry& entry = entries_[key];
+  AddHolder(ctx, key, &entry);
   FireChange(&entry);
 }
 

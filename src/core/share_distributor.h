@@ -131,6 +131,14 @@ class ShareDistributor {
   void Publish(cloud::FaasContext* ctx, const FsdOptions& options,
                const std::string& family, int32_t partition_id);
 
+  /// Registers the calling instance as a holder of a share it loaded
+  /// WITHOUT a prior Acquire (a pre-warm that read storage because the
+  /// cost model priced that path cheaper), and wakes waiters so later cold
+  /// requesters can pull from it. Unlike Publish it resolves no pending
+  /// storage read. No-op when the instance's cache does not hold the share.
+  void RegisterHolder(cloud::FaasContext* ctx, const FsdOptions& options,
+                      const std::string& family, int32_t partition_id);
+
   /// Resolves a pending storage read that failed (deadline, abort) without
   /// registering a holder, so waiters stop waiting for it.
   void Abandon(const std::string& family, int32_t partition_id,
@@ -194,6 +202,9 @@ class ShareDistributor {
   void Prune(const ShareKey& key, Entry* entry);
   /// Wakes every waiter of `entry` and re-arms the signal.
   void FireChange(Entry* entry);
+  /// Adds the calling instance to `entry`'s holders when its cache holds
+  /// the share and it is not registered yet.
+  void AddHolder(cloud::FaasContext* ctx, const ShareKey& key, Entry* entry);
   /// Whether the topology admits one more concurrent transfer.
   bool AdmitsTransfer(const Entry& entry) const;
   /// The holder the topology streams the next transfer from. Skips

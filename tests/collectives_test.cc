@@ -14,6 +14,8 @@
 namespace fsd::core {
 namespace {
 
+constexpr CollectiveTopology kThroughRoot = CollectiveTopology::kThroughRoot;
+
 linalg::ActivationMap MakeRows(std::vector<int32_t> ids, float value) {
   linalg::ActivationMap out;
   for (int32_t id : ids) {
@@ -102,7 +104,9 @@ TYPED_TEST(CollectivesTest, BarrierSynchronizesEveryone) {
   const double stagger[] = {0.0, 0.5, 1.0, 2.0};
   this->RunWorkers(4, [&](WorkerEnv* env, CommChannel* channel) {
     env->faas->SleepFor(stagger[env->worker_id]).ok();
-    ASSERT_TRUE(Barrier(channel, env, 0, 4).ok());
+    ASSERT_TRUE(Barrier(channel, env, kThroughRoot, PhaseBlock{0, 1},
+                        PhaseBlock{1, 1}, 4)
+                    .ok());
     release_times[env->worker_id] = env->cloud->sim()->Now();
   });
   // Nobody leaves the barrier before the last arrival (t = 2.0).
@@ -116,7 +120,8 @@ TYPED_TEST(CollectivesTest, ReduceGathersDisjointRowsAtRoot) {
     const linalg::ActivationMap mine =
         MakeRows({env->worker_id, env->worker_id + 10},
                  static_cast<float>(env->worker_id + 1));
-    auto gathered = Reduce(channel, env, 0, 3, mine);
+    auto gathered =
+        Reduce(channel, env, kThroughRoot, PhaseBlock{0, 1}, 3, mine);
     ASSERT_TRUE(gathered.ok());
     if (env->worker_id == 0) {
       at_root = std::move(*gathered);
@@ -137,7 +142,8 @@ TYPED_TEST(CollectivesTest, BroadcastDeliversRootRowsToAll) {
   this->RunWorkers(4, [&](WorkerEnv* env, CommChannel* channel) {
     const linalg::ActivationMap payload =
         env->worker_id == 0 ? rows : linalg::ActivationMap{};
-    auto r = Broadcast(channel, env, 0, 4, payload);
+    auto r = Broadcast(channel, env, kThroughRoot, PhaseBlock{0, 1}, 4,
+                       payload);
     ASSERT_TRUE(r.ok());
     got[env->worker_id] = std::move(*r);
   });
@@ -203,11 +209,15 @@ TYPED_TEST(CollectivesTest, EveryTopologyMatchesThroughRootByteForByte) {
 TYPED_TEST(CollectivesTest, SingleWorkerCollectivesAreNoOps) {
   const linalg::ActivationMap rows = MakeRows({3}, 1.0f);
   this->RunWorkers(1, [&](WorkerEnv* env, CommChannel* channel) {
-    EXPECT_TRUE(Barrier(channel, env, 0, 1).ok());
-    auto reduced = Reduce(channel, env, 2, 1, rows);
+    EXPECT_TRUE(Barrier(channel, env, kThroughRoot, PhaseBlock{0, 1},
+                        PhaseBlock{1, 1}, 1)
+                    .ok());
+    auto reduced =
+        Reduce(channel, env, kThroughRoot, PhaseBlock{2, 1}, 1, rows);
     ASSERT_TRUE(reduced.ok());
     EXPECT_EQ(reduced->size(), 1u);
-    auto bcast = Broadcast(channel, env, 4, 1, rows);
+    auto bcast =
+        Broadcast(channel, env, kThroughRoot, PhaseBlock{4, 1}, 1, rows);
     ASSERT_TRUE(bcast.ok());
     EXPECT_EQ(bcast->size(), 1u);
   });

@@ -5,10 +5,14 @@
 // outputs byte-identical to the storage-only cold path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "cloud/cloud.h"
+#include "core/cost_model.h"
 #include "core/serving.h"
 #include "core/share_distributor.h"
 #include "core/worker.h"
@@ -368,6 +372,223 @@ TEST(ServingFastScaling, PrewarmedInstancesEvictedBeforeArrivalStayCorrect) {
   EXPECT_GT(late.cold_starts, 0);
   EXPECT_EQ(late.prewarmed_hits, 0);
   EXPECT_EQ(report->fleet.failed, 0);
+}
+
+// Wraps the default rate policy and records every snapshot it was shown
+// together with its decision.
+class RecordingRatePolicy final : public PreWarmPolicy {
+ public:
+  struct Call {
+    PrewarmSnapshot snapshot;
+    PrewarmDecision decision;
+  };
+  std::string_view name() const override { return "recording-rate"; }
+  PrewarmDecision Decide(const PrewarmSnapshot& snapshot) override {
+    calls.push_back({snapshot, inner_->Decide(snapshot)});
+    return calls.back().decision;
+  }
+  std::vector<Call> calls;
+
+ private:
+  std::shared_ptr<PreWarmPolicy> inner_ = MakeRatePreWarmPolicy();
+};
+
+// Steady arrivals, then two arrivals 1 ms apart: the rate must be the count
+// of arrivals inside est_run_s over est_run_s, so the close pair cannot
+// spike it (a 1/gap sample would read ~1000 qps off the pair and fire
+// hundreds of instances), and the policy fires no more than that count of
+// trees' worth of instances beyond the standing supply.
+TEST(ServingFastScaling, CloseArrivalsDoNotSpikeTheRateEstimate) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, kWorkers);
+
+  sim::Simulation sim;
+  cloud::CloudEnv cloud(&sim);
+  ServingOptions so;
+  so.peer_share_transfer = true;
+  so.predictive_prewarm = true;
+  so.prewarm_budget_dollars = 1.0;  // never the binding constraint here
+  auto policy = std::make_shared<RecordingRatePolicy>();
+  so.prewarm_policy = policy;
+  ServingRuntime serving(&cloud, so);
+  std::vector<double> arrivals;
+  for (int q = 0; q < 6; ++q) arrivals.push_back(0.5 * q);
+  arrivals.push_back(3.2);
+  arrivals.push_back(3.201);
+  for (double at : arrivals) ASSERT_TRUE(serving.Submit(request, at).ok());
+  auto report = serving.Drain();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const QueryOutcome& outcome : report->queries) {
+    ASSERT_TRUE(outcome.report.status.ok());
+    EXPECT_EQ(outcome.report.outputs[0], w.expected);
+  }
+
+  ASSERT_EQ(policy->calls.size(), arrivals.size());
+  for (const RecordingRatePolicy::Call& call : policy->calls) {
+    const PrewarmSnapshot& s = call.snapshot;
+    ASSERT_GT(s.est_run_s, 0.0);
+    const auto in_window = std::count_if(
+        arrivals.begin(), arrivals.end(), [&s](double at) {
+          return at > s.now_s - s.est_run_s && at <= s.now_s;
+        });
+    const double bound = static_cast<double>(in_window) / s.est_run_s;
+    EXPECT_LE(s.arrival_rate_qps, bound) << "at t=" << s.now_s;
+    const int64_t supply =
+        s.warm_instances +
+        static_cast<int64_t>(s.in_flight_runs) * s.workers_per_run +
+        s.pending_prewarms;
+    const int64_t cap =
+        static_cast<int64_t>(s.workers_per_run) *
+            static_cast<int64_t>(std::ceil(bound * s.est_run_s)) -
+        supply;
+    EXPECT_LE(call.decision.instances, std::max<int64_t>(cap, 0))
+        << "at t=" << s.now_s;
+  }
+  EXPECT_EQ(report->fleet.failed, 0);
+}
+
+// Admits nothing before `open_at_s`: those arrivals still reach the
+// pre-warm stage, but no query run bills the ledger.
+class ClosedUntilAdmission final : public AdmissionPolicy {
+ public:
+  explicit ClosedUntilAdmission(double open_at_s) : open_at_s_(open_at_s) {}
+  std::string_view name() const override { return "closed-until"; }
+  AdmissionDecision Decide(const SchedQuery&, const LoadSnapshot& load,
+                           const std::vector<SchedQuery>&) override {
+    AdmissionDecision decision;
+    if (load.now_s < open_at_s_) {
+      decision.action = AdmissionDecision::Action::kReject;
+      decision.reason = "test: closed";
+    }
+    return decision;
+  }
+
+ private:
+  double open_at_s_;
+};
+
+// Fires `instances` pre-warms at every arrival before `until_s`, and
+// records what the ledger and the budget say at each arrival.
+class LedgerProbePolicy final : public PreWarmPolicy {
+ public:
+  LedgerProbePolicy(const cloud::BillingLedger* ledger, int32_t instances,
+                    double until_s)
+      : ledger_(ledger), instances_(instances), until_s_(until_s) {}
+  std::string_view name() const override { return "ledger-probe"; }
+  PrewarmDecision Decide(const PrewarmSnapshot& snapshot) override {
+    ledger_dollars.push_back(ledger_->TotalCost());
+    budget_remaining.push_back(snapshot.budget_remaining);
+    PrewarmDecision decision;
+    if (snapshot.now_s < until_s_) decision.instances = instances_;
+    decision.reason = "test: probe";
+    return decision;
+  }
+  std::vector<double> ledger_dollars;
+  std::vector<double> budget_remaining;
+
+ private:
+  const cloud::BillingLedger* ledger_;
+  int32_t instances_;
+  double until_s_;
+};
+
+// Pre-warms fired before the first admitted query: until it arrives the
+// ledger bills nothing but them, so the trued-up budget spend must equal
+// the ledger to within 0.1% — on the storage path, and with peer pricing
+// cheap enough that the second load of each share takes the peer path.
+TEST(ServingFastScaling, PrewarmBudgetReconcilesWithLedger) {
+  constexpr int32_t kWorkers = 4;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, kWorkers);
+
+  for (const bool cheap_peer : {false, true}) {
+    SCOPED_TRACE(cheap_peer ? "cheap peer path" : "storage path");
+    sim::Simulation sim;
+    cloud::CloudConfig config;
+    if (cheap_peer) {
+      config.pricing.p2p_per_connection = 1e-9;
+      config.pricing.p2p_per_byte = 0.0;
+      config.latency.p2p_punch_failure_rate = 0.0;
+    }
+    cloud::CloudEnv cloud(&sim, config);
+    ServingOptions so;
+    so.peer_share_transfer = true;
+    so.predictive_prewarm = true;
+    so.prewarm_budget_dollars = 0.05;
+    so.admission_policy = std::make_shared<ClosedUntilAdmission>(20.0);
+    auto policy = std::make_shared<LedgerProbePolicy>(
+        &cloud.billing(), 2 * kWorkers, /*until_s=*/1.0);
+    so.prewarm_policy = policy;
+    ServingRuntime serving(&cloud, so);
+    ASSERT_TRUE(serving.Submit(request, 0.0).ok());   // rejected
+    ASSERT_TRUE(serving.Submit(request, 30.0).ok());  // admitted
+    auto report = serving.Drain();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    ASSERT_EQ(report->fleet.prewarm_invocations, 2 * kWorkers);
+    EXPECT_GT(report->fleet.prewarm_storage_parts, 0);
+    if (cheap_peer) {
+      EXPECT_GT(report->fleet.prewarm_peer_connects, 0);
+    }
+    ASSERT_EQ(policy->ledger_dollars.size(), 2u);
+    EXPECT_EQ(policy->ledger_dollars[0], 0.0);
+    const double window_dollars = policy->ledger_dollars[1];
+    ASSERT_GT(window_dollars, 0.0);
+    EXPECT_NEAR(report->fleet.prewarm_budget_spent, window_dollars,
+                0.001 * window_dollars);
+    EXPECT_NEAR(so.prewarm_budget_dollars - policy->budget_remaining[1],
+                window_dollars, 0.001 * window_dollars);
+    ASSERT_TRUE(report->queries[1].report.status.ok());
+    EXPECT_EQ(report->queries[1].report.outputs[0], w.expected);
+  }
+}
+
+// A budget worth about one instance against a policy asking for many at
+// every arrival: the pre-warm loop's billed dollars (the whole ledger, as
+// every query is rejected) never exceed the budget. Slow, jittery storage
+// reads make the billed MB-seconds dominate the charge and, for some
+// request seeds, overshoot the median-priced estimate committed at fire.
+TEST(ServingFastScaling, TinyPrewarmBudgetBindsInBilledDollars) {
+  constexpr int32_t kWorkers = 4;
+  constexpr int kArrivals = 6;
+  Workload w = MakeWorkload(256, 8, 16, kWorkers);
+  InferenceRequest request = MakeRequest(w, kWorkers);
+
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "request seed " << seed);
+    request.options.seed = seed;
+    sim::Simulation sim;
+    cloud::CloudConfig config;
+    config.latency.object_get.median_s = 0.5;
+    config.latency.object_get.sigma = 1.0;
+    cloud::CloudEnv cloud(&sim, config);
+    const PrewarmLoadPlan plan = PlanPrewarmLoad(
+        cloud.billing().pricing(), cloud.latency(), cloud.compute(),
+        w.partition.WeightShareBytes(w.dnn, 0),
+        ShareDistributor::Options().relay_chunk_bytes,
+        DefaultWorkerMemoryMb(w.dnn.neurons(), Variant::kQueue),
+        /*peer_enabled=*/true);
+    ServingOptions so;
+    so.peer_share_transfer = true;
+    so.predictive_prewarm = true;
+    so.prewarm_budget_dollars = 1.5 * plan.cost;
+    so.admission_policy = std::make_shared<ClosedUntilAdmission>(1e9);
+    so.prewarm_policy = std::make_shared<LedgerProbePolicy>(
+        &cloud.billing(), 4 * kWorkers, /*until_s=*/1e9);
+    ServingRuntime serving(&cloud, so);
+    for (int q = 0; q < kArrivals; ++q) {
+      ASSERT_TRUE(serving.Submit(request, 10.0 * q).ok());
+    }
+    auto report = serving.Drain();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    const double billed = cloud.billing().TotalCost();
+    EXPECT_GT(report->fleet.prewarm_invocations, 0);
+    EXPECT_LE(billed, so.prewarm_budget_dollars);
+    EXPECT_LE(report->fleet.prewarm_budget_spent, so.prewarm_budget_dollars);
+    EXPECT_NEAR(report->fleet.prewarm_budget_spent, billed, 0.001 * billed);
+  }
 }
 
 }  // namespace
